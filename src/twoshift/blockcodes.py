@@ -12,15 +12,14 @@ at build time over abstract windows.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (AlphabetMismatch, NotShiftInvariantEmptyClass,
-                     ParseError)
+                     ParseError, ShiftError)
 from .points import (BiPoint, Empty, EMPTY_POINT, Finite, Infinite,
                      constant_point, make_infinite)
-from .words import EMPTY, STAR, LeftRay, _Sentinel, canonicalize_ray
+from .words import EMPTY, STAR, _Sentinel, canonicalize_ray
 
 #: Gap wildcard inside pseudo cylinder intersections: any letter of the
 #: extended alphabet.
@@ -309,7 +308,8 @@ def sbc_apply(code: SlidingBlockCode, x: BiPoint) -> BiPoint:
             return Finite(canonicalize_ray(pl, mids[:n0 - a], n0 - 1))
         return make_infinite(pl, mids, pr, a)
 
-    assert isinstance(x, Finite)
+    if not isinstance(x, Finite):
+        raise ShiftError("cannot apply a code to %s" % type(x).__name__)
     ray = x.ray
     kx = ray.end_index
     a = kx - len(ray.transient) - l - len(ray.period)
@@ -318,7 +318,9 @@ def sbc_apply(code: SlidingBlockCode, x: BiPoint) -> BiPoint:
     mids = tuple(out(n) for n in range(a, b + 1))
     oe = out(b + l + 2)  # far right: the all-empty window
     if oe is not EMPTY:
-        assert EMPTY not in pl and EMPTY not in mids
+        if EMPTY in pl or EMPTY in mids:
+            raise NotShiftInvariantEmptyClass(
+                "the image has the empty letter left of a letter")
         return make_infinite(pl, mids, (oe,), a)
     if EMPTY in pl:
         return EMPTY_POINT

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import NotMinimal
-from .points import (BiPoint, Empty, EMPTY_POINT, Finite, Infinite,
-                     OneEmpty, OneFinite, OneInfinite, OnePoint, ONE_EMPTY,
-                     make_infinite, make_one_infinite, one_finite)
-from .spaces import ForbiddenSpec, is_minimal
-from .words import (EMPTY, STAR, LeftRay, canonicalize_ray, pattern_matches,
-                    ray_append)
+from .points import (BiPoint, Empty, Finite, OneEmpty, OneFinite, OneInfinite,
+                     OnePoint, ONE_EMPTY, make_infinite, make_one_infinite,
+                     one_finite)
+from .spaces import ForbiddenSpec, _block_levels, is_minimal
+from .words import STAR, PatternSet, compile_patterns, ray_append
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,24 @@ class OneSpec:
     patterns: frozenset = frozenset()
     alphabet: Optional[frozenset] = None
 
+    @cached_property
     def mentioned(self) -> frozenset:
         out = set()
         for p in self.patterns:
             out |= {c for c in p if isinstance(c, int)}
         return frozenset(out)
 
+    @cached_property
+    def matcher(self) -> PatternSet:
+        return compile_patterns(self.patterns)
+
+    @cached_property
+    def max_pattern_len(self) -> int:
+        return max((len(p) for p in self.patterns), default=1)
+
 
 def _one_fresh(one: OneSpec, extra=()) -> int:
-    used = set(one.mentioned()) | set(extra)
+    used = set(one.mentioned) | set(extra)
     if one.alphabet is not None:
         used |= set(one.alphabet)
     return max(used, default=-1) + 1
@@ -44,20 +53,17 @@ def _one_fresh(one: OneSpec, extra=()) -> int:
 
 def one_contains(one: OneSpec, z: OnePoint) -> bool:
     """Membership in the one-sided space X̂_F."""
-    big = max((len(p) for p in one.patterns), default=1)
     if isinstance(z, OneEmpty):
         return one_inf_infinite(one)
     if isinstance(z, OneInfinite):
         if one.alphabet is not None and not (
                 set(z.transient) | set(z.period)) <= one.alphabet:
             return False
+        # Windows starting in [1, depth]; later ones repeat in the period.
+        big = one.max_pattern_len
         depth = len(z.transient) + 2 * len(z.period) + big
-        for pat in one.patterns:
-            n = len(pat)
-            for i in range(1, depth + 1):
-                if pattern_matches(pat, tuple(z[i + j] for j in range(n))):
-                    return False
-        return True
+        return not one.matcher.occurs_in(
+            tuple(z[i] for i in range(1, depth + big)))
     # A finite word needs infinitely many one-letter extensions.
     if one.alphabet is not None:
         return False
@@ -73,18 +79,10 @@ def one_inf_infinite(one: OneSpec) -> bool:
         return not any(all(c is STAR for c in p) for p in one.patterns)
     # Finite alphabet: infinite exactly when the valid-continuation graph
     # branches somewhere along an infinite forward walk.
-    big = max((len(p) for p in one.patterns), default=1)
     letters = sorted(one.alphabet)
-    states = list(itertools.product(letters, repeat=big - 1))
-    succ = {}
-    for s in states:
-        succ[s] = []
-        for a in letters:
-            win = s + (a,)
-            if not any(pattern_matches(p, win[j - len(p) + 1: j + 1])
-                       for p in one.patterns
-                       for j in range(len(p) - 1, len(win))):
-                succ[s].append(s[1:] + (a,))
+    states = list(itertools.product(letters, repeat=one.max_pattern_len - 1))
+    succ = {s: [(s + (a,))[1:] for a in letters
+                if not one.matcher.occurs_in(s + (a,))] for s in states}
     alive = set(states)
     changed = True
     while changed:
@@ -100,7 +98,7 @@ def one_word_in_language(one: OneSpec, w: tuple) -> bool:
     """Is w a block of the one-sided space (occurs in some valid point)?"""
     if one.alphabet is not None and not set(w) <= one.alphabet:
         return False
-    big = max((len(p) for p in one.patterns), default=1)
+    big = one.max_pattern_len
     f = _one_fresh(one, w)
     if one.alphabet is None:
         # Fresh padding is the best witness; only the distance of the word
@@ -121,16 +119,18 @@ def one_word_in_language(one: OneSpec, w: tuple) -> bool:
 
 def one_blocks(one: OneSpec, n: int, cutoff: int) -> set:
     """Non-ø blocks of X̂_F over letters below the cutoff."""
-    letters = range(cutoff) if one.alphabet is None \
-        else sorted(a for a in one.alphabet if a < cutoff)
-    return {w for w in itertools.product(letters, repeat=n)
-            if one_word_in_language(one, w)}
+    if one.alphabet is not None:
+        # Not pruned: the finite-alphabet witness search is not factor closed.
+        letters = sorted(a for a in one.alphabet if a < cutoff)
+        return {w for w in itertools.product(letters, repeat=n)
+                if one_word_in_language(one, w)}
+    return _block_levels(lambda w: one_word_in_language(one, w), n, cutoff)[n]
 
 
 def one_is_minimal(one: OneSpec):
     """Is every proper subblock of every forbidden pattern a block of the
     one-sided space?  Returns (True, None) or (False, (word, parent))."""
-    ment = one.mentioned()
+    ment = one.mentioned
     f = _one_fresh(one)
     for pat in sorted(one.patterns, key=str):
         for n in range(1, len(pat)):

@@ -12,11 +12,11 @@ import argparse
 import json
 import sys
 
-from . import blockcodes, bridge, higherblock, spaces, topology
+from . import blockcodes, bridge, higherblock, spaces
 from .errors import ShiftError
 from .points import format_point, parse_point
-from .spaces import ForbiddenSpec, spec_from_json, spec_to_json
-from .words import EMPTY, format_letters, parse_ray
+from .spaces import spec_from_json, spec_to_json
+from .words import EMPTY, format_letters
 
 
 def _load_spec(path: str):

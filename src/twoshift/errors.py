@@ -53,9 +53,5 @@ class NotShiftInvariantEmptyClass(ShiftError):
     """A local rule's empty-output class is not closed under the shift."""
 
 
-class NonConstantOnEmpty(ShiftError):
-    """A local rule does not send the empty point to a constant point."""
-
-
 class ParseError(ShiftError):
     """A textual point, ray, pattern, or spec could not be parsed."""

@@ -11,17 +11,13 @@ with M-blocks as vertices and (M+1)-blocks as edges.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
 
 from .errors import InconsistentOverlaps, NotFiniteStep
-from .points import (BiPoint, Empty, EMPTY_POINT, Finite, Infinite)
+from .points import BiPoint, Empty, Infinite
 from .spaces import (Classification, ForbiddenSpec, blocks, classify,
-                     contains, inf_infinite, follower_set, word_in_language,
-                     _fresh)
+                     contains, word_in_language, _fresh)
 from .words import EMPTY, format_letters
 from .blockcodes import SlidingBlockCode, sbc_apply
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
-from .errors import BadRange, NoRay, ParseError
+from .errors import BadRange, NoRay, ParseError, ShiftError
 from .words import (EMPTY, LeftRay, canonicalize_ray, format_letters,
                     parse_letters, primitive_root, ray_tail)
 
@@ -47,6 +47,9 @@ class BiPoint:
         """The word (x_i ... x_j)."""
         if i > j:
             raise BadRange("window start %d > end %d" % (i, j))
+        return self._cells(i, j)
+
+    def _cells(self, i: int, j: int) -> tuple:
         return tuple(self[k] for k in range(i, j + 1))
 
     def tail_ray(self, k: int) -> LeftRay:
@@ -98,6 +101,11 @@ class Finite(BiPoint):
     def length(self):
         return self.ray.end_index
 
+    def _cells(self, i: int, j: int) -> tuple:
+        r = self.ray
+        return _expand(r.period, r.transient,
+                       r.end_index - len(r.transient) + 1, (EMPTY,), i, j)
+
     def shift(self, n: int = 1) -> "BiPoint":
         return Finite(self.ray.shift_to(self.ray.end_index - n))
 
@@ -137,6 +145,10 @@ class Infinite(BiPoint):
     def length(self):
         return POS_INF
 
+    def _cells(self, i: int, j: int) -> tuple:
+        return _expand(self.left_period, self.body, self.body_start,
+                       self.right_period, i, j)
+
     def shift(self, n: int = 1) -> "BiPoint":
         return make_infinite(self.left_period, self.body, self.right_period,
                              self.body_start - n)
@@ -155,6 +167,23 @@ class Infinite(BiPoint):
 
     def letters(self) -> frozenset:
         return frozenset(self.left_period) | frozenset(self.body) | frozenset(self.right_period)
+
+
+def _cycle(period: tuple, phase: int, n: int) -> tuple:
+    """n cells of period^inf, starting at period[phase % len(period)]."""
+    if n <= 0:
+        return ()
+    r = phase % len(period)
+    return (period * (n // len(period) + 2))[r: r + n]
+
+
+def _expand(left: tuple, body: tuple, s: int, right: tuple,
+            i: int, j: int) -> tuple:
+    """Cells i..j of ...left left body right right... with body at s."""
+    e = s + len(body)
+    return (_cycle(left, i - s, min(j + 1, s) - i)
+            + body[max(i - s, 0): max(min(j + 1, e) - s, 0)]
+            + _cycle(right, max(i, e) - e, j + 1 - max(i, e)))
 
 
 def _rot_left(w: tuple) -> tuple:
@@ -212,10 +241,6 @@ def make_infinite(left_period: Sequence[int], body: Sequence[int],
 def finite_point(period: Sequence[int], transient: Sequence[int] = (),
                  end_index: int = 0) -> Finite:
     return Finite(canonicalize_ray(period, transient, end_index))
-
-
-def from_ray(ray: LeftRay) -> Finite:
-    return Finite(ray)
 
 
 def constant_point(letter: int) -> Infinite:
@@ -297,12 +322,10 @@ class OneInfinite(OnePoint):
 
     def shift(self, n: int = 1) -> "OnePoint":
         t, p = self.transient, self.period
-        for _ in range(n):
-            if t:
-                t = t[1:]
-            else:
-                p = _rot_left(p)
-        return make_one_infinite(t, p)
+        if n <= len(t):
+            return make_one_infinite(t[max(n, 0):], p)
+        r = (n - len(t)) % len(p)
+        return make_one_infinite((), p[r:] + p[:r])
 
 
 def make_one_infinite(transient: Sequence[int], period: Sequence[int]) -> OneInfinite:
@@ -368,7 +391,8 @@ def format_point(x: BiPoint) -> str:
             format_letters(p),
             (format_letters(u) + " ") if u else "",
             (format_letters(v) + " ") if v else "")
-    assert isinstance(x, Infinite)
+    if not isinstance(x, Infinite):
+        raise ShiftError("cannot format %s as a point" % type(x).__name__)
     lo = min(x.body_start, 1)
     hi = max(x.body_start + len(x.body) - 1, 0)
     u = x.window(lo, 0) if lo <= 0 else ()
@@ -406,6 +430,7 @@ def format_one_point(z: OnePoint) -> str:
         return "@"
     if isinstance(z, OneFinite):
         return "%s #" % format_letters(z.word)
-    assert isinstance(z, OneInfinite)
+    if not isinstance(z, OneInfinite):
+        raise ShiftError("cannot format %s as a one-sided point" % type(z).__name__)
     t = (format_letters(z.transient) + " ") if z.transient else ""
     return "%s. (%s)^+" % (t, format_letters(z.period))

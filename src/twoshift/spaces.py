@@ -13,22 +13,33 @@ Letters outside the mentioned set are interchangeable, so existential
 questions (is this word a block, is this follower set infinite) are decided
 by building a witness point that uses one fresh letter for everything
 unconstrained and validating it against the specification directly.
+
+Each spec compiles its patterns once into one matcher
+(:func:`twoshift.words.compile_patterns`), stored on the spec next to its
+mentioned letters and longest pattern length.  A witness point is expanded
+once over every cell a pattern can see and handed to that matcher.
+
+Blocks are enumerated factor closed: B_m(X) grows from B_{m-1}(X) one
+letter at a time, so the cost follows the output, not cutoff^n.  Finite
+alphabets are not pruned: their bounded witness search tries only short
+paddings and periods, so it can accept a word yet miss one of its factors.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional
 
 from .errors import (AllowlistUnsupported, CutoffTooSmall, NotInLanguage,
                      ParseError)
 from .points import (BiPoint, Empty, Finite, Infinite, make_infinite)
-from .words import (EMPTY, STAR, LeftRay, canonicalize_ray, format_pattern,
-                    parse_pattern, parse_ray, pattern_matches, primitive_root,
-                    ray_append, ray_equals_pattern_tail,
-                    ray_subword_occurrences, rotations, words_conjugate)
+from .words import (EMPTY, STAR, LeftRay, PatternSet, canonicalize_ray,
+                    compile_patterns, format_pattern, parse_pattern,
+                    parse_ray, primitive_root, ray_append,
+                    ray_equals_pattern_tail, ray_subword_occurrences,
+                    rotations, words_conjugate)
 
 
 def _least_rotation(word: tuple) -> tuple:
@@ -44,6 +55,7 @@ class ForbiddenSpec:
     allow: Optional[frozenset] = None      # canonical primitive period words
     alphabet: Optional[frozenset] = None
 
+    @cached_property
     def mentioned(self) -> frozenset:
         out = set()
         for p in self.patterns:
@@ -54,6 +66,14 @@ class ForbiddenSpec:
             for a in self.allow:
                 out |= set(a)
         return frozenset(out)
+
+    @cached_property
+    def matcher(self) -> PatternSet:
+        return compile_patterns(self.patterns)
+
+    @cached_property
+    def max_pattern_len(self) -> int:
+        return max((len(p) for p in self.patterns), default=1)
 
 
 def make_spec(forbid_words: Iterable = (), forbid_tails: Iterable = (),
@@ -113,22 +133,17 @@ def spec_from_json(data: dict) -> ForbiddenSpec:
 # direct validation of eventually periodic infinite points
 
 
-def _max_pattern_len(spec: ForbiddenSpec) -> int:
-    return max((len(p) for p in spec.patterns), default=1)
-
-
 def infinite_ok(spec: ForbiddenSpec, x: Infinite) -> bool:
     """Exact membership of a bi-infinite point in the infinite part of X_F."""
     if spec.alphabet is not None and not x.letters() <= spec.alphabet:
         return False
-    big = _max_pattern_len(spec)
+    big = spec.max_pattern_len
     lo = x.body_start - len(x.left_period) - big
     hi = x.body_start + len(x.body) + len(x.right_period) + big
-    for pat in spec.patterns:
-        n = len(pat)
-        for j in range(lo, hi + 1):
-            if pattern_matches(pat, x.window(j - n + 1, j)):
-                return False
+    # Every window ending in [lo, hi] is scanned; the extra windows ending
+    # left of lo lie in the left period and repeat windows scanned anyway.
+    if spec.matcher.occurs_in(x.window(lo - big + 1, hi)):
+        return False
     if spec.rays:
         pad = max(len(f.period) + len(f.transient) for f in spec.rays)
         k0 = x.body_start + len(x.body) + 2 * len(x.right_period) + pad + 1
@@ -146,7 +161,7 @@ def infinite_ok(spec: ForbiddenSpec, x: Infinite) -> bool:
 # witness search
 
 def _fresh(spec: ForbiddenSpec, extra: Iterable[int] = ()) -> int:
-    used = set(spec.mentioned()) | set(extra)
+    used = set(spec.mentioned) | set(extra)
     if spec.alphabet is not None:
         used |= set(spec.alphabet)
     return max(used, default=-1) + 1
@@ -171,13 +186,10 @@ def _alphabet_periods(spec: ForbiddenSpec, max_len: int):
 @lru_cache(maxsize=None)
 def word_in_language(spec: ForbiddenSpec, word: tuple) -> bool:
     """Is the (ø-free) word a block of the infinite part of X_F?"""
-    big = _max_pattern_len(spec)
+    big = spec.max_pattern_len
     # Cheap necessary condition: no pattern occurs inside the word itself.
-    for pat in spec.patterns:
-        n = len(pat)
-        for j in range(n - 1, len(word)):
-            if pattern_matches(pat, word[j - n + 1: j + 1]):
-                return False
+    if spec.matcher.occurs_in(word):
+        return False
     if spec.alphabet is not None:
         if not set(word) <= spec.alphabet:
             return False
@@ -202,7 +214,7 @@ def word_in_language(spec: ForbiddenSpec, word: tuple) -> bool:
 @lru_cache(maxsize=None)
 def ray_in_language(spec: ForbiddenSpec, ray: LeftRay) -> bool:
     """Is the ray a left-infinite subblock of the infinite part of X_F?"""
-    big = _max_pattern_len(spec)
+    big = spec.max_pattern_len
     if spec.alphabet is not None:
         if not ray.letters() <= spec.alphabet:
             return False
@@ -229,7 +241,7 @@ def follower_infinite(spec: ForbiddenSpec, ray: LeftRay) -> bool:
     """
     if spec.alphabet is not None:
         return False
-    big = _max_pattern_len(spec)
+    big = spec.max_pattern_len
     f = _fresh(spec, ray.letters())
     pad = (f,) * big
     x = make_infinite(ray.period, ray.transient + pad, (f,),
@@ -280,36 +292,19 @@ def inf_nonempty(spec: ForbiddenSpec) -> bool:
 
 @lru_cache(maxsize=None)
 def _alphabet_edges(spec: ForbiddenSpec):
-    big = _max_pattern_len(spec)
-    w = big - 1
+    """States are (big-1)-words; a may follow s when s + a avoids F."""
     letters = sorted(spec.alphabet)
-    states = list(itertools.product(letters, repeat=w))
-    edges = {}
-    for s in states:
-        edges[s] = []
-        for a in letters:
-            win = s + (a,)
-            if not any(pattern_matches(p, win[len(win) - len(p):])
-                       for p in spec.patterns):
-                edges[s].append(a)
-    # Windows shorter than the pattern length also matter; re-check every
-    # full window along transitions by validating length-big windows.
-    ok = {}
-    for s in states:
-        for a in edges[s]:
-            win = s + (a,)
-            good = all(not pattern_matches(p, win[j - len(p) + 1: j + 1])
-                       for p in spec.patterns
-                       for j in range(len(p) - 1, len(win)))
-            ok[(s, a)] = good
-    return {s: [a for a in edges[s] if ok[(s, a)]] for s in states}
+    occurs_in = spec.matcher.occurs_in
+    return {s: [a for a in letters if not occurs_in(s + (a,))]
+            for s in itertools.product(letters,
+                                       repeat=spec.max_pattern_len - 1)}
 
 
 @lru_cache(maxsize=None)
 def _alphabet_live_states(spec: ForbiddenSpec):
     """States lying on some bi-infinite valid walk."""
     edges = _alphabet_edges(spec)
-    succ = {s: [s[1:] + (a,) for a in edges[s]] for s in edges}
+    succ = {s: [(s + (a,))[1:] for a in edges[s]] for s in edges}
     pred = {s: [] for s in edges}
     for s, ts in succ.items():
         for t in ts:
@@ -342,7 +337,7 @@ def _alphabet_walks_infinite(spec: ForbiddenSpec) -> bool:
     in_deg = {s: 0 for s in live}
     for s in live:
         for a in edges[s]:
-            t = s[1:] + (a,)
+            t = (s + (a,))[1:]
             if t in live:
                 out_deg[s] += 1
                 in_deg[t] += 1
@@ -377,30 +372,48 @@ def _finite_word_ok(spec: ForbiddenSpec, word: tuple) -> bool:
         return False
     if spec.alphabet is not None:
         return False
-    big = _max_pattern_len(spec)
+    big = spec.max_pattern_len
     f = _fresh(spec, word)
     pad = (f,) * (big - 1)
     return any(follower_infinite(spec, canonicalize_ray(pl, pad + word, 0))
                for pl in _left_periods(spec, f))
 
 
+def _block_levels(member, n: int, cutoff: int) -> list:
+    """[B_0, ..., B_n] over letters below the cutoff of the factor-closed
+    language whose words satisfy ``member``.
+
+    B_m grows from B_{m-1}: w is extended by a only when (w + a)[1:] is in
+    B_{m-1}, so the cost follows the output, not cutoff^n.
+    """
+    if n < 0:
+        raise ValueError("block length %d is negative" % n)
+    levels = [{()} if member(()) else set()]
+    for _ in range(n):
+        prev = levels[-1]
+        levels.append({w + (a,) for w in prev for a in range(cutoff)
+                       if (w + (a,))[1:] in prev and member(w + (a,))})
+    return levels
+
+
 def blocks(spec: ForbiddenSpec, n: int, cutoff: int) -> set:
     """B_n(X_F) restricted to letters below the cutoff (plus ø paddings)."""
-    mentioned = spec.mentioned()
+    mentioned = spec.mentioned
     if mentioned and cutoff < max(mentioned) + 1:
         raise CutoffTooSmall("cutoff %d below mentioned letters %s"
                              % (cutoff, sorted(mentioned)))
-    letters = range(cutoff)
     if spec.alphabet is not None:
+        # Not pruned: the finite-alphabet witness search is not factor closed.
         letters = sorted(a for a in spec.alphabet if a < cutoff)
-    out = set()
-    for w in itertools.product(letters, repeat=n):
-        if word_in_language(spec, w):
-            out.add(w)
-    for m in range(1, n):
-        for w in itertools.product(letters, repeat=m):
-            if _finite_word_ok(spec, w):
-                out.add(w + (EMPTY,) * (n - m))
+        out = {w for w in itertools.product(letters, repeat=n)
+               if word_in_language(spec, w)}
+    else:
+        levels = _block_levels(lambda w: word_in_language(spec, w), n, cutoff)
+        out = set(levels[n])
+        # A finite point ending with w has w as a block.
+        for m in range(1, n):
+            out |= {w + (EMPTY,) * (n - m) for w in levels[m]
+                    if _finite_word_ok(spec, w)}
     if inf_infinite(spec):
         out.add((EMPTY,) * n)
     return out
@@ -413,9 +426,9 @@ def follower_set(spec: ForbiddenSpec, left, k: int = 1,
     Returns (set of words over letters < cutoff, infinite flag); the flag is
     exact, the listing is truncated at the cutoff.
     """
-    big = _max_pattern_len(spec)
+    big = spec.max_pattern_len
     f = _fresh(spec, left.letters() if isinstance(left, LeftRay) else left)
-    probe = sorted(spec.mentioned()) + ([] if spec.alphabet is not None else [f])
+    probe = sorted(spec.mentioned) + ([] if spec.alphabet is not None else [f])
     if isinstance(left, LeftRay):
         if direction != "forward":
             raise ValueError("predecessor sets apply to finite words only")
@@ -451,7 +464,7 @@ def _instances(pattern: tuple, mentioned, f: int):
 
 def _pattern_bad(spec: ForbiddenSpec, pattern: tuple) -> bool:
     """True iff no instance of the pattern is a block of X_F."""
-    mentioned = spec.mentioned()
+    mentioned = spec.mentioned
     f = _fresh(spec, (c for c in pattern if isinstance(c, int)))
     return all(not word_in_language(spec, tuple(inst))
                for inst in _instances(pattern, mentioned, f))
@@ -479,8 +492,8 @@ def is_minimal(spec: ForbiddenSpec):
     X_F?  Returns (True, None) or (False, (offending word, parent))."""
     if spec.allow is not None:
         raise AllowlistUnsupported("minimality needs a pure forbidden list")
-    mentioned = spec.mentioned()
-    big = _max_pattern_len(spec)
+    mentioned = spec.mentioned
+    big = spec.max_pattern_len
     for pat in sorted(spec.patterns, key=str):
         f = _fresh(spec)
         for n in range(1, len(pat)):
@@ -507,8 +520,8 @@ def minimalize(spec: ForbiddenSpec) -> ForbiddenSpec:
     """
     if spec.allow is not None:
         raise AllowlistUnsupported("minimalize needs a pure forbidden list")
-    mentioned = sorted(spec.mentioned())
-    big = _max_pattern_len(spec)
+    mentioned = sorted(spec.mentioned)
+    big = spec.max_pattern_len
     candidates = set()
     for pat in spec.patterns:
         for n in range(1, len(pat) + 1):
@@ -556,7 +569,7 @@ def classify(spec: ForbiddenSpec) -> Classification:
         row = col = True
     else:
         f = _fresh(spec)
-        probes = sorted(spec.mentioned()) + [f]
+        probes = sorted(spec.mentioned) + [f]
         row = col = True
         for a in probes:
             if not word_in_language(spec, (a,)):
@@ -568,7 +581,7 @@ def classify(spec: ForbiddenSpec) -> Classification:
     if spec.rays or spec.allow is not None:
         m_step = None
     else:
-        m_step = max(1, _max_pattern_len(spec)) - 1
+        m_step = max(1, spec.max_pattern_len) - 1
     finite_type = (not spec.rays and spec.allow is None
                    and all(all(isinstance(c, int) for c in p)
                            for p in spec.patterns))

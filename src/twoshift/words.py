@@ -230,6 +230,58 @@ def pattern_matches(pattern: Pattern, window: Sequence[Cell]) -> bool:
     return True
 
 
+class PatternSet:
+    """A finite set of wildcard patterns compiled for scanning cell runs.
+
+    Patterns are grouped by length and by the offsets of their fixed
+    letters (all offsets for a concrete pattern).  A group is checked by set
+    lookup of the letters each window holds at those offsets.  As in
+    :func:`pattern_matches`, no pattern matches a window holding ø, so runs
+    between ø cells are scanned apart.  Build through
+    :func:`compile_patterns`.
+    """
+
+    __slots__ = ("_groups",)
+
+    def __init__(self, patterns: Iterable[Pattern]) -> None:
+        groups = {}
+        for p in patterns:
+            fixed = tuple(i for i, c in enumerate(p) if c is not STAR)
+            groups.setdefault((len(p), fixed), set()).add(
+                tuple(p[i] for i in fixed))
+        self._groups = [(n, fixed, keys)
+                        for (n, fixed), keys in groups.items()]
+
+    def occurs_in(self, cells: Sequence[Cell]) -> bool:
+        """Does some pattern match some window of the cells?"""
+        cells = tuple(cells)
+        if EMPTY not in cells:
+            return self._scan(cells)
+        start = 0
+        for i, c in enumerate(cells + (EMPTY,)):
+            if c is EMPTY:
+                if self._scan(cells[start: i]):
+                    return True
+                start = i + 1
+        return False
+
+    def _scan(self, cells: tuple) -> bool:
+        for n, fixed, keys in self._groups:
+            m = len(cells) - n + 1  # number of windows
+            if m <= 0:
+                continue
+            # zip yields, for each window, its letters at the fixed offsets.
+            if not fixed or not keys.isdisjoint(
+                    zip(*[cells[o: o + m] for o in fixed])):
+                return True
+        return False
+
+
+def compile_patterns(patterns: Iterable[Pattern]) -> PatternSet:
+    """Compile wildcard patterns once for repeated :meth:`PatternSet.occurs_in`."""
+    return PatternSet(patterns)
+
+
 def ray_subword_occurrences(ray: LeftRay, pattern: Pattern) -> OccurrenceSummary:
     """Classify all end positions j <= end_index where the pattern matches.
 

@@ -1,17 +1,19 @@
+import itertools
 import random
 
 import pytest
 from twoshift.bridge import (OneSpec, embed_in_cylinder, embed_inverse,
                              lift_space, one_blocks, one_contains,
-                             one_is_minimal, one_word_in_language, p_inverse,
-                             project, project_space)
+                             one_inf_infinite, one_is_minimal,
+                             one_word_in_language, p_inverse, project,
+                             project_space)
 from twoshift.errors import NotMinimal
 from twoshift.points import (EMPTY_POINT, Finite, ONE_EMPTY, format_one_point,
                              parse_one_point, parse_point)
 from twoshift.spaces import blocks, contains, make_spec, word_in_language
 from twoshift.words import EMPTY, STAR
 
-from conftest import random_finite, random_point
+from conftest import random_finite, random_pattern, random_point
 
 GM = make_spec(forbid_words=["11"])
 
@@ -97,6 +99,25 @@ class TestOneSidedSpaces:
         assert one_contains(one, parse_one_point("0 1 . (0)^+"))
         assert not one_contains(one, parse_one_point("0 2 . (0)^+"))
         assert sorted(one_blocks(one, 2, 2)) == [(0, 0), (0, 1), (1, 0)]
+
+    def test_one_letter_patterns_on_finite_alphabet(self):
+        # Over {0, 1, 2} with 1 forbidden, {0, 2}^N is still uncountable.
+        assert one_inf_infinite(OneSpec(frozenset({(1,)}),
+                                        frozenset({0, 1, 2})))
+        assert not one_inf_infinite(OneSpec(frozenset({(1,), (2,)}),
+                                            frozenset({0, 1, 2})))
+
+    def test_pruned_enumeration_matches_every_word(self):
+        rng = random.Random(31)
+        for _ in range(25):
+            one = OneSpec(frozenset(random_pattern(rng, 3, 3, 0.3)
+                                    for _ in range(rng.randint(0, 3))))
+            for n in range(5):
+                want = {w for w in itertools.product(range(4), repeat=n)
+                        if one_word_in_language(one, w)}
+                assert one_blocks(one, n, 4) == want, (one, n)
+        with pytest.raises(ValueError):
+            one_blocks(OneSpec(), -1, 2)
 
 
 class TestSpaceTransfer:

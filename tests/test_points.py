@@ -5,10 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_point
-from twoshift.errors import BadRange, NoRay, ParseError
+from twoshift.errors import BadRange, NoRay, ParseError, ShiftError
 from twoshift.points import (EMPTY_POINT, Empty, Finite, Infinite,
-                             constant_point, finite_point, format_point,
-                             make_infinite, parse_point)
+                             constant_point, finite_point, format_one_point,
+                             format_point, make_infinite, make_one_infinite,
+                             parse_point)
 from twoshift.words import EMPTY, canonicalize_ray
 
 words = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)
@@ -104,6 +105,24 @@ class TestInfinitePoint:
             constant_point(3).window(2, 0)
 
 
+class TestWindows:
+    def test_slices_equal_cells(self):
+        rng = random.Random(41)
+        for _ in range(500):
+            x = random_point(rng)
+            i = rng.randint(-15, 15)
+            j = i + rng.randint(0, 20)
+            assert x.window(i, j) == tuple(window(x, i, j))
+
+    def test_bad_range_on_every_kind(self):
+        rng = random.Random(42)
+        for _ in range(50):
+            x = random_point(rng)
+            i = rng.randint(-10, 10)
+            with pytest.raises(BadRange):
+                x.window(i, i - rng.randint(1, 5))
+
+
 class TestShiftGroupLaws:
     def test_many_random_points(self):
         rng = random.Random(5)
@@ -120,12 +139,37 @@ class TestShiftGroupLaws:
                 assert x.shift(n).length() == l - n
 
 
+class TestOneSidedShift:
+    def test_huge_shift_costs_the_representation(self):
+        z = make_one_infinite((1, 2, 3), (4, 5, 6, 7))
+        # 10**12 - 3 = 1 (mod 4): past the transient, the period turns once.
+        # A loop over the shift would not finish.
+        assert z.shift(10 ** 12) == make_one_infinite((), (5, 6, 7, 4))
+
+    def test_shift_is_additive(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            z = make_one_infinite(
+                tuple(rng.randrange(3) for _ in range(rng.randint(0, 4))),
+                tuple(rng.randrange(3) for _ in range(rng.randint(1, 4))))
+            a, b = rng.randint(0, 9), rng.randint(0, 9)
+            assert z.shift(a + b) == z.shift(a).shift(b)
+            assert [z.shift(a)[i] for i in range(1, 12)] == \
+                [z[i + a] for i in range(1, 12)]
+
+
 class TestTextForm:
     def test_round_trip_examples(self):
         for text in ["@", "(0)^- 1 2 @2 #", "(01)^- 2 . 3 (4)^+",
                      "(0)^- 1 . 2 #", "(5)^- . (5)^+"]:
             x = parse_point(text)
             assert parse_point(format_point(x)) == x
+
+    def test_non_points_are_refused(self):
+        with pytest.raises(ShiftError):
+            format_point(object())
+        with pytest.raises(ShiftError):
+            format_one_point(object())
 
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,14 +6,15 @@ from twoshift.errors import (AllowlistUnsupported, CutoffTooSmall,
                              NotInLanguage)
 from twoshift.points import (EMPTY_POINT, constant_point, finite_point,
                              make_infinite, parse_point)
-from twoshift.spaces import (blocks, classify, contains, equal_spaces,
-                             follower_set, has_iep, inf_infinite, is_minimal,
+from twoshift.spaces import (_finite_word_ok, blocks, classify, contains,
+                             equal_spaces, follower_set, has_iep,
+                             inf_infinite, inf_nonempty, is_minimal,
                              make_spec, minimalize, ray_in_language,
                              spec_from_json, spec_to_json, word_in_language)
 from twoshift.words import EMPTY, STAR, canonicalize_ray, parse_ray
 
 from conftest import (naive_window_scan, random_infinite, random_pattern,
-                      random_ray)
+                      random_ray, random_word)
 
 GM = make_spec(forbid_words=["11"])
 
@@ -111,6 +113,14 @@ class TestFiniteAlphabet:
         assert not inf_infinite(spec)
         assert contains(spec, parse_point("(01)^- . (01)^+"))
 
+    def test_one_letter_patterns(self):
+        for words, nonempty, infinite in ((["1"], True, True),
+                                          (["1", "2"], True, False),
+                                          (["0", "1", "2"], False, False)):
+            spec = make_spec(forbid_words=words, alphabet=[0, 1, 2])
+            assert inf_nonempty(spec) == nonempty, words
+            assert inf_infinite(spec) == infinite, words
+
 
 class TestBlocks:
     def test_two_blocks_of_golden_mean(self):
@@ -124,6 +134,11 @@ class TestBlocks:
         with pytest.raises(CutoffTooSmall):
             blocks(GM, 2, 0)
 
+    def test_negative_length_rejected(self):
+        for spec in (GM, make_spec(forbid_words=["11"], alphabet=[0, 1])):
+            with pytest.raises(ValueError):
+                blocks(spec, -1, 3)
+
     def test_blocks_nest(self):
         rng = random.Random(23)
         for _ in range(10):
@@ -132,6 +147,27 @@ class TestBlocks:
             b2, b3 = blocks(spec, 2, 5), blocks(spec, 3, 5)
             for w in b3:
                 assert w[:2] in b2 and w[1:] in b2
+
+    def test_pruned_enumeration_matches_every_word(self):
+        rng = random.Random(29)
+        for _ in range(25):
+            pats = [random_pattern(rng, 3, 3, 0.3)
+                    for _ in range(rng.randint(0, 3))]
+            rays = [random_ray(rng, 3).shift_to(0)
+                    for _ in range(rng.randint(0, 1))]
+            allow = None if rng.random() < 0.6 else \
+                [random_word(rng, rng.randint(1, 2), 3)
+                 for _ in range(rng.randint(1, 2))]
+            spec = make_spec(pats, rays, allow_tails=allow)
+            for n in range(5):
+                want = {w for w in itertools.product(range(4), repeat=n)
+                        if word_in_language(spec, w)}
+                want |= {w + (EMPTY,) * (n - m) for m in range(1, n)
+                         for w in itertools.product(range(4), repeat=m)
+                         if _finite_word_ok(spec, w)}
+                if inf_infinite(spec):
+                    want.add((EMPTY,) * n)
+                assert blocks(spec, n, 4) == want, (spec, n)
 
 
 class TestFollowers:

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from twoshift.errors import EmptyPeriod, ParseError
 from twoshift.words import (EMPTY, STAR, LeftRay, canonicalize_ray,
-                            format_letters, format_pattern, parse_letters,
-                            parse_pattern, parse_ray, pattern_matches,
-                            primitive_root, ray_append,
+                            compile_patterns, format_letters, format_pattern,
+                            parse_letters, parse_pattern, parse_ray,
+                            pattern_matches, primitive_root, ray_append,
                             ray_equals_pattern_tail, ray_subword_occurrences,
                             ray_tail, rotations, words_conjugate)
 
@@ -177,3 +177,21 @@ class TestPatternMatching:
         assert not pattern_matches((STAR,), (EMPTY,))
         assert pattern_matches((1, STAR), (1, 0))
         assert not pattern_matches((1, STAR), (0, 0))
+
+    def test_compiled_set_agrees_with_pattern_loop(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            pats = [tuple(STAR if rng.random() < 0.3 else rng.randrange(3)
+                          for _ in range(rng.randint(1, 4)))
+                    for _ in range(rng.randint(0, 4))]
+            cells = tuple(EMPTY if rng.random() < 0.1 else rng.randrange(3)
+                          for _ in range(rng.randint(0, 9)))
+            want = any(pattern_matches(p, cells[i: i + len(p)])
+                       for p in pats for i in range(len(cells)))
+            assert compile_patterns(pats).occurs_in(cells) == want, \
+                (pats, cells)
+
+    def test_compiled_star_skips_empty_cells(self):
+        stars = compile_patterns([(STAR, STAR)])
+        assert not stars.occurs_in((1, EMPTY, EMPTY))
+        assert stars.occurs_in((1, 1, EMPTY))
