@@ -12,6 +12,7 @@ at build time over abstract windows.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -19,7 +20,7 @@ from .errors import (AlphabetMismatch, NotShiftInvariantEmptyClass,
                      ParseError, ShiftError)
 from .points import (BiPoint, Empty, EMPTY_POINT, Finite, Infinite,
                      constant_point, make_infinite)
-from .words import EMPTY, STAR, _Sentinel, canonicalize_ray
+from .words import EMPTY, STAR, _Sentinel, canonicalize_ray, parse_letters
 
 #: Gap wildcard inside pseudo cylinder intersections: any letter of the
 #: extended alphabet.
@@ -36,14 +37,6 @@ class PseudoCylinder:
     @property
     def end(self) -> int:
         return self.start + len(self.cells) - 1
-
-    @property
-    def least_memory(self) -> int:
-        return -min(0, self.start)
-
-    @property
-    def least_anticipation(self) -> int:
-        return max(0, self.end)
 
     def __str__(self) -> str:
         body = " ".join("?" if c is ANY else ("_" if c is EMPTY else str(c))
@@ -429,29 +422,40 @@ def check_continuity_sufficient(code: SlidingBlockCode) -> ContinuityReport:
 # ---------------------------------------------------------------------------
 # rule file parsing
 
+def _output_letter(v) -> int:
+    if isinstance(v, str) and v.isascii() and v.isdigit():
+        return int(v)
+    if type(v) is int and v >= 0:
+        return v
+    raise ParseError("bad output %r" % (v,))
+
+
 def parse_output(text_or_obj) -> tuple:
+    """A clause output: a letter (``3``, ``"3"`` or ``{"letter": 3}``),
+    ``"copy j"``, or ``"empty"`` (also ``"_"``)."""
     if isinstance(text_or_obj, dict):
-        if "letter" in text_or_obj:
-            return (LETTER, int(text_or_obj["letter"]))
-        raise ParseError("bad output object %r" % (text_or_obj,))
-    s = str(text_or_obj).strip()
-    if s == "empty" or s == "_":
+        return (LETTER, _output_letter(text_or_obj.get("letter")))
+    s = text_or_obj.strip() if isinstance(text_or_obj, str) else text_or_obj
+    if s in ("empty", "_"):
         return (OUT_EMPTY,)
-    if s.startswith("copy"):
-        return (COPY, int(s.split()[1]))
-    if s.isdigit():
-        return (LETTER, int(s))
-    raise ParseError("bad output %r" % (text_or_obj,))
+    m = isinstance(s, str) and re.fullmatch(r"copy\s+(-?[0-9]+)", s)
+    return (COPY, int(m.group(1))) if m else (LETTER, _output_letter(s))
 
 
-def code_from_json(data: dict) -> SlidingBlockCode:
-    from .words import parse_letters
-
-    memory = int(data["memory"])
-    anticipation = int(data["anticipation"])
-    clauses = []
-    for cl in data.get("clauses", ()):
-        cells = parse_letters(cl["window"])
-        clauses.append((cells, parse_output(cl["output"])))
-    default = parse_output(data.get("default", "empty"))
-    return sbc_build(memory, anticipation, clauses, default)
+def code_from_json(data) -> SlidingBlockCode:
+    """Rule file: ``memory``, ``anticipation``, ``clauses``, ``default``;
+    a malformed shape is a ParseError."""
+    if not isinstance(data, dict):
+        raise ParseError("a rule must be a JSON object")
+    for key in ("memory", "anticipation"):
+        if type(data.get(key)) is not int or data[key] < 0:
+            raise ParseError("%s must be a nonnegative integer" % key)
+    clauses = data.get("clauses", [])
+    if not isinstance(clauses, list) or not all(
+            isinstance(cl, dict) and isinstance(cl.get("window"), str)
+            and "output" in cl for cl in clauses):
+        raise ParseError("clauses must be a list of window/output objects")
+    return sbc_build(data["memory"], data["anticipation"],
+                     [(parse_letters(cl["window"]), parse_output(cl["output"]))
+                      for cl in clauses],
+                     parse_output(data.get("default", "empty")))

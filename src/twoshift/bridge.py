@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from .automaton import StateGraph
 from .errors import NotMinimal
 from .points import (BiPoint, Empty, Finite, OneEmpty, OneFinite, OneInfinite,
                      OnePoint, ONE_EMPTY, make_infinite, make_one_infinite,
@@ -42,6 +43,11 @@ class OneSpec:
     @cached_property
     def max_pattern_len(self) -> int:
         return max((len(p) for p in self.patterns), default=1)
+
+    @cached_property
+    def graph(self) -> StateGraph:
+        """The state graph of a finite-alphabet spec."""
+        return StateGraph(self.matcher, self.alphabet, self.max_pattern_len)
 
 
 def _one_fresh(one: OneSpec, extra=()) -> int:
@@ -77,53 +83,23 @@ def one_contains(one: OneSpec, z: OnePoint) -> bool:
 def one_inf_infinite(one: OneSpec) -> bool:
     if one.alphabet is None:
         return not any(all(c is STAR for c in p) for p in one.patterns)
-    # Finite alphabet: infinite exactly when the valid-continuation graph
-    # branches somewhere along an infinite forward walk.
-    letters = sorted(one.alphabet)
-    states = list(itertools.product(letters, repeat=one.max_pattern_len - 1))
-    succ = {s: [(s + (a,))[1:] for a in letters
-                if not one.matcher.occurs_in(s + (a,))] for s in states}
-    alive = set(states)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            if not any(t in alive for t in succ[s]):
-                alive.discard(s)
-                changed = True
-    return any(len([t for t in succ[s] if t in alive]) > 1 for s in alive)
+    return one.graph.infinite()
 
 
 def one_word_in_language(one: OneSpec, w: tuple) -> bool:
     """Is w a block of the one-sided space (occurs in some valid point)?"""
-    if one.alphabet is not None and not set(w) <= one.alphabet:
-        return False
+    if one.alphabet is not None:
+        return one.graph.one_word(tuple(w))
     big = one.max_pattern_len
     f = _one_fresh(one, w)
-    if one.alphabet is None:
-        # Fresh padding is the best witness; only the distance of the word
-        # from the left boundary still matters.
-        return any(one_contains(one, make_one_infinite(
-            (f,) * j + w + (f,) * (big - 1), (f,))) for j in range(big))
-    junction = sorted(one.alphabet)
-    tails = [q for ln in range(1, big + 2)
-             for q in itertools.product(junction, repeat=ln)]
-    for pre_len in range(0, big):
-        for u1 in itertools.product(junction, repeat=pre_len):
-            for u2 in itertools.product(junction, repeat=big - 1):
-                for q in tails:
-                    if one_contains(one, make_one_infinite(u1 + w + u2, q)):
-                        return True
-    return False
+    # Fresh padding is the best witness; only the distance of the word
+    # from the left boundary still matters.
+    return any(one_contains(one, make_one_infinite(
+        (f,) * j + w + (f,) * (big - 1), (f,))) for j in range(big))
 
 
 def one_blocks(one: OneSpec, n: int, cutoff: int) -> set:
     """Non-ø blocks of X̂_F over letters below the cutoff."""
-    if one.alphabet is not None:
-        # Not pruned: the finite-alphabet witness search is not factor closed.
-        letters = sorted(a for a in one.alphabet if a < cutoff)
-        return {w for w in itertools.product(letters, repeat=n)
-                if one_word_in_language(one, w)}
     return _block_levels(lambda w: one_word_in_language(one, w), n, cutoff)[n]
 
 

@@ -13,19 +13,24 @@ import json
 import sys
 
 from . import blockcodes, bridge, higherblock, spaces
-from .errors import ShiftError
+from .errors import ParseError, ShiftError
 from .points import format_point, parse_point
 from .spaces import spec_from_json, spec_to_json
 from .words import EMPTY, format_letters
 
 
-def _load_spec(path: str):
+def _load_spec(path: str, recoded: bool = False):
+    """A spec file; ``recoded`` admits a recoded spec (with ``overlap_m``)."""
     with open(path) as fh:
         data = json.load(fh)
-    if "overlap_m" in data:
+    if isinstance(data, dict) and "overlap_m" in data:
+        if not recoded:
+            raise ParseError("this verb does not take a recoded spec")
+        if type(data["overlap_m"]) is not int:
+            raise ParseError("overlap_m must be an integer")
         base = spec_from_json({k: v for k, v in data.items()
                                if k != "overlap_m"})
-        return higherblock.hb_spec(int(data["overlap_m"]), base)
+        return higherblock.hb_spec(data["overlap_m"], base)
     return spec_from_json(data)
 
 
@@ -67,7 +72,7 @@ def cmd_point_eval(args) -> int:
 
 
 def cmd_space_check(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_spec(args.spec, recoded=True)
     x = parse_point(args.point)
     if isinstance(spec, higherblock.HigherBlockSpec):
         member = higherblock.hb_contains(spec, x)
@@ -78,7 +83,7 @@ def cmd_space_check(args) -> int:
 
 
 def cmd_space_blocks(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_spec(args.spec, recoded=True)
     if isinstance(spec, higherblock.HigherBlockSpec):
         bl = higherblock.hb_blocks(spec, args.n, args.cutoff)
     else:
@@ -97,7 +102,7 @@ def cmd_space_minimalize(args) -> int:
 
 
 def cmd_space_classify(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_spec(args.spec, recoded=True)
     if isinstance(spec, higherblock.HigherBlockSpec):
         c = higherblock.hb_classify(spec)
     else:
@@ -191,10 +196,8 @@ def cmd_bridge_project(args) -> int:
 
 def cmd_bridge_lift(args) -> int:
     with open(args.spec) as fh:
-        data = json.load(fh)
-    one = bridge.OneSpec(
-        frozenset(spec_from_json(data).patterns),
-        frozenset(data["alphabet"]) if "alphabet" in data else None)
+        spec = spec_from_json(json.load(fh))
+    one = bridge.OneSpec(spec.patterns, spec.alphabet)
     lifted = bridge.lift_space(one)
     out = spec_to_json(lifted.two)
     out["case"] = lifted.case

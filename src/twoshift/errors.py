@@ -55,3 +55,7 @@ class NotShiftInvariantEmptyClass(ShiftError):
 
 class ParseError(ShiftError):
     """A textual point, ray, pattern, or spec could not be parsed."""
+
+
+class FiniteAlphabetTails(ShiftError):
+    """Forbidden tails over a finite alphabet are not decided yet."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .automaton import branches, reach, reverse, trim
 from .errors import InconsistentOverlaps, NotFiniteStep
 from .points import BiPoint, Empty, Infinite
 from .spaces import (Classification, ForbiddenSpec, blocks, classify,
@@ -237,69 +238,28 @@ class EdgeSpace:
     def __init__(self, g: Graph) -> None:
         self.g = g
         self._codes = {encode_block(e): e for e in g.edges}
-        verts = set(g.vertices) | {g.src(e) for e in g.edges} \
-            | {g.dst(e) for e in g.edges}
-        succ = {v: set() for v in verts}
-        pred = {v: set() for v in verts}
+        succ = {v: [] for v in g.vertices}
         for e in g.edges:
-            succ[g.src(e)].add(g.dst(e))
-            pred[g.dst(e)].add(g.src(e))
-
-        def survivors(nbrs):
-            alive = set(verts)
-            changed = True
-            while changed:
-                changed = False
-                for v in list(alive):
-                    if not nbrs[v] & alive:
-                        alive.discard(v)
-                        changed = True
-            return alive
-
-        def reaches(targets, nbrs):
-            out = set(targets)
-            frontier = set(targets)
-            while frontier:
-                frontier = {v for v in verts
-                            if v not in out and nbrs[v] & out}
-                out |= frontier
-            return out
-
+            succ.setdefault(g.src(e), []).append(g.dst(e))
+            succ.setdefault(g.dst(e), [])
+        pred = reverse(succ)
         # A walk continues right forever along listed edges, or leaves
         # through a fresh edge at an infinite emitter; symmetrically left.
-        self._right_ok = survivors(succ) | reaches(
-            g.infinite_emitters if g.fresh else frozenset(), succ)
-        self._left_ok = survivors(pred) | reaches(
-            g.fresh_sources if g.fresh else frozenset(), pred)
-
-    def _decode(self, letter):
-        return self._codes.get(letter)
-
-    def _right_ext(self, v: tuple) -> bool:
-        return v in self._right_ok
-
-    def _left_ext(self, v: tuple) -> bool:
-        return v in self._left_ok
+        self._succ = succ
+        self._right_ok = trim(succ) | reach(
+            g.infinite_emitters if g.fresh else (), pred)
+        self._left_ok = trim(pred) | reach(
+            g.fresh_sources if g.fresh else (), succ)
 
     def walkset_infinite(self) -> bool:
         if self.g.fresh:
             # Constant walks on fresh loop edges, one per fresh letter.
             return True
-        live = [v for v in self.g.vertices
-                if self._left_ext(v) and self._right_ext(v)]
-        deg_out = {v: 0 for v in live}
-        deg_in = {v: 0 for v in live}
-        for e in self.g.edges:
-            if self.g.src(e) in deg_out and self.g.dst(e) in deg_in:
-                deg_out[self.g.src(e)] += 1
-                deg_in[self.g.dst(e)] += 1
-        return any(deg_out[v] > 1 or deg_in[v] > 1 for v in live)
+        live = set(self.g.vertices) & self._left_ok & self._right_ok
+        return branches(live, self._succ)
 
     def _walk_ok(self, edges) -> bool:
-        for a, b in zip(edges, edges[1:]):
-            if a[1:] != b[:-1]:
-                return False
-        return True
+        return all(a[1:] == b[:-1] for a, b in zip(edges, edges[1:]))
 
     def contains(self, x: BiPoint) -> bool:
         if isinstance(x, Empty):
@@ -307,12 +267,12 @@ class EdgeSpace:
         if isinstance(x, Infinite):
             lo = x.body_start - len(x.left_period) - 1
             hi = x.body_start + len(x.body) + len(x.right_period) + 1
-            walk = [self._decode(x[i]) for i in range(lo, hi + 1)]
+            walk = [self._codes.get(x[i]) for i in range(lo, hi + 1)]
             return all(e is not None for e in walk) and self._walk_ok(walk)
         ray = x.ray
         k = ray.end_index
         lo = k - len(ray.transient) - 2 * len(ray.period)
-        walk = [self._decode(ray[i]) for i in range(lo, k + 1)]
+        walk = [self._codes.get(ray[i]) for i in range(lo, k + 1)]
         if any(e is None for e in walk) or not self._walk_ok(walk):
             return False
         return (walk[-1][1:] in self.g.infinite_emitters
@@ -331,11 +291,11 @@ class EdgeSpace:
                         yield w + (e,)
 
         for w in walks(n):
-            if self._left_ext(w[0][:-1]) and self._right_ext(w[-1][1:]):
+            if w[0][:-1] in self._left_ok and w[-1][1:] in self._right_ok:
                 out.add(tuple(encode_block(e) for e in w))
         for m in range(1, n):
             for w in walks(m):
-                if (self._left_ext(w[0][:-1])
+                if (w[0][:-1] in self._left_ok
                         and w[-1][1:] in self.g.infinite_emitters
                         and self.walkset_infinite()):
                     out.add(tuple(encode_block(e) for e in w)

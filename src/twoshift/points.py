@@ -251,6 +251,11 @@ def constant_point(letter: int) -> Infinite:
 # one-sided points (indexed from 1), used by the one-sided bridge
 
 
+def _one_sided_shift(n: int) -> None:
+    if n < 0:
+        raise ValueError("a one-sided point has no shift by %d < 0" % n)
+
+
 class OnePoint:
     """Point of the one-sided compactified full shift, indexed from 1."""
 
@@ -281,6 +286,7 @@ class OneEmpty(OnePoint):
         return NEG_INF
 
     def shift(self, n: int = 1) -> "OnePoint":
+        _one_sided_shift(n)
         return self
 
 
@@ -300,6 +306,7 @@ class OneFinite(OnePoint):
         return len(self.word)
 
     def shift(self, n: int = 1) -> "OnePoint":
+        _one_sided_shift(n)
         w = self.word[n:]
         return OneFinite(w) if w else ONE_EMPTY
 
@@ -321,9 +328,10 @@ class OneInfinite(OnePoint):
         return POS_INF
 
     def shift(self, n: int = 1) -> "OnePoint":
+        _one_sided_shift(n)
         t, p = self.transient, self.period
         if n <= len(t):
-            return make_one_infinite(t[max(n, 0):], p)
+            return make_one_infinite(t[n:], p)
         r = (n - len(t)) % len(p)
         return make_one_infinite((), p[r:] + p[:r])
 

@@ -8,21 +8,25 @@ restriction.  The space X_F consists of the infinite points avoiding F
 whose ending ray has an infinite first follower set inside the infinite
 part, and the empty point when the infinite part is infinite.
 
-Every query reduces to checks on concrete eventually periodic points.
-Letters outside the mentioned set are interchangeable, so existential
-questions (is this word a block, is this follower set infinite) are decided
-by building a witness point that uses one fresh letter for everything
-unconstrained and validating it against the specification directly.
+Membership of a point is checked on the point itself.  Each spec compiles
+its patterns once into one matcher (:func:`twoshift.words.compile_patterns`),
+stored on the spec next to its mentioned letters and longest pattern
+length; a point is expanded once over every cell a pattern can see and
+handed to that matcher.
 
-Each spec compiles its patterns once into one matcher
-(:func:`twoshift.words.compile_patterns`), stored on the spec next to its
-mentioned letters and longest pattern length.  A witness point is expanded
-once over every cell a pattern can see and handed to that matcher.
+Language questions (is this word a block, is the space infinite) are
+decided in one of two exact ways:
 
-Blocks are enumerated factor closed: B_m(X) grows from B_{m-1}(X) one
-letter at a time, so the cost follows the output, not cutoff^n.  Finite
-alphabets are not pruned: their bounded witness search tries only short
-paddings and periods, so it can accept a word yet miss one of its factors.
+* over a finite alphabet, on the spec's :class:`twoshift.automaton.StateGraph`,
+  built once and stored on the spec.  Forbidden tails are not on that graph
+  yet, so such specs raise :class:`twoshift.errors.FiniteAlphabetTails`;
+* over the infinite alphabet, by one witness point.  Letters outside the
+  mentioned set are interchangeable, so a witness uses one fresh letter
+  for everything unconstrained and is validated against the spec directly.
+
+Both tests are exact, so the language is factor closed and blocks are
+enumerated factor closed: B_m(X) grows from B_{m-1}(X) one letter at a
+time, so the cost follows the output, not cutoff^n.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .errors import (AllowlistUnsupported, CutoffTooSmall, NotInLanguage,
-                     ParseError)
+from .automaton import StateGraph
+from .errors import (AllowlistUnsupported, CutoffTooSmall, FiniteAlphabetTails,
+                     NotInLanguage, ParseError)
 from .points import (BiPoint, Empty, Finite, Infinite, make_infinite)
 from .words import (EMPTY, STAR, LeftRay, PatternSet, canonicalize_ray,
                     compile_patterns, format_pattern, parse_pattern,
@@ -74,6 +79,15 @@ class ForbiddenSpec:
     @cached_property
     def max_pattern_len(self) -> int:
         return max((len(p) for p in self.patterns), default=1)
+
+    @cached_property
+    def graph(self) -> StateGraph:
+        """The state graph of a finite-alphabet spec without tails."""
+        if self.rays:
+            raise FiniteAlphabetTails(
+                "forbidden tails over a finite alphabet are not supported")
+        return StateGraph(self.matcher, self.alphabet, self.max_pattern_len,
+                          self.allow)
 
 
 def make_spec(forbid_words: Iterable = (), forbid_tails: Iterable = (),
@@ -121,12 +135,25 @@ def spec_to_json(spec: ForbiddenSpec) -> dict:
     return out
 
 
-def spec_from_json(data: dict) -> ForbiddenSpec:
-    return make_spec(data.get("forbid_words", ()),
-                     data.get("forbid_tails", ()),
-                     data.get("forbid_tails_containing", ()),
-                     data.get("allow_tails"),
-                     data.get("alphabet"))
+def spec_from_json(data) -> ForbiddenSpec:
+    """Inverse of :func:`spec_to_json`; a malformed shape is a ParseError."""
+    if not isinstance(data, dict):
+        raise ParseError("a spec must be a JSON object")
+
+    def strings(key):
+        v = data.get(key, [])
+        if not isinstance(v, list) or not all(isinstance(t, str) for t in v):
+            raise ParseError("%s must be a list of strings" % key)
+        return v
+
+    alphabet = data.get("alphabet")
+    if alphabet is not None and not (isinstance(alphabet, list) and all(
+            type(a) is int and a >= 0 for a in alphabet)):
+        raise ParseError("alphabet must be a list of nonnegative integers")
+    return make_spec(strings("forbid_words"), strings("forbid_tails"),
+                     strings("forbid_tails_containing"),
+                     None if data.get("allow_tails") is None
+                     else strings("allow_tails"), alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -175,33 +202,15 @@ def _left_periods(spec: ForbiddenSpec, f: int):
     return [r for base in sorted(spec.allow) for r in rotations(base)]
 
 
-def _alphabet_periods(spec: ForbiddenSpec, max_len: int):
-    letters = sorted(spec.alphabet)
-    for n in range(1, max_len + 1):
-        for p in itertools.product(letters, repeat=n):
-            if primitive_root(p) == p and _least_rotation(p) == p:
-                yield p
-
-
 @lru_cache(maxsize=None)
 def word_in_language(spec: ForbiddenSpec, word: tuple) -> bool:
     """Is the (ø-free) word a block of the infinite part of X_F?"""
-    big = spec.max_pattern_len
+    if spec.alphabet is not None:
+        return spec.graph.word(word)
     # Cheap necessary condition: no pattern occurs inside the word itself.
     if spec.matcher.occurs_in(word):
         return False
-    if spec.alphabet is not None:
-        if not set(word) <= spec.alphabet:
-            return False
-        per_len = big + 1
-        for u1 in itertools.product(sorted(spec.alphabet), repeat=big - 1):
-            for u2 in itertools.product(sorted(spec.alphabet), repeat=big - 1):
-                for pl in _alphabet_periods(spec, per_len):
-                    for pr in _alphabet_periods(spec, per_len):
-                        x = make_infinite(pl, u1 + word + u2, pr, 1)
-                        if infinite_ok(spec, x):
-                            return True
-        return False
+    big = spec.max_pattern_len
     # A fresh seam is the best possible witness: fresh cells are matched
     # only by wildcards, which also matched whatever they replaced, so any
     # valid witness stays valid after padding with the fresh letter.
@@ -214,19 +223,10 @@ def word_in_language(spec: ForbiddenSpec, word: tuple) -> bool:
 @lru_cache(maxsize=None)
 def ray_in_language(spec: ForbiddenSpec, ray: LeftRay) -> bool:
     """Is the ray a left-infinite subblock of the infinite part of X_F?"""
-    big = spec.max_pattern_len
     if spec.alphabet is not None:
-        if not ray.letters() <= spec.alphabet:
-            return False
-        for u2 in itertools.product(sorted(spec.alphabet), repeat=big - 1):
-            for pr in _alphabet_periods(spec, big + 1):
-                x = make_infinite(ray.period, ray.transient + u2, pr,
-                                  ray.end_index - len(ray.transient) + 1)
-                if infinite_ok(spec, x):
-                    return True
-        return False
+        return spec.graph.ray(ray.period, ray.transient)
     f = _fresh(spec, ray.letters())
-    pad = (f,) * (big - 1)
+    pad = (f,) * (spec.max_pattern_len - 1)
     x = make_infinite(ray.period, ray.transient + pad, (f,),
                       ray.end_index - len(ray.transient) + 1)
     return infinite_ok(spec, x)
@@ -253,7 +253,7 @@ def follower_infinite(spec: ForbiddenSpec, ray: LeftRay) -> bool:
 def inf_infinite(spec: ForbiddenSpec) -> bool:
     """Is the infinite part of X_F an infinite set?"""
     if spec.alphabet is not None:
-        return _alphabet_walks_infinite(spec)
+        return spec.graph.infinite()
     if any(all(c is STAR for c in p) for p in spec.patterns):
         # An all-wildcard pattern matches every window, so no infinite
         # point survives at all.
@@ -274,7 +274,7 @@ def inf_infinite(spec: ForbiddenSpec) -> bool:
 @lru_cache(maxsize=None)
 def inf_nonempty(spec: ForbiddenSpec) -> bool:
     if spec.alphabet is not None:
-        return bool(_alphabet_live_states(spec))
+        return spec.graph.nonempty()
     if any(all(c is STAR for c in p) for p in spec.patterns):
         return False
     if spec.allow is None:
@@ -288,65 +288,6 @@ def inf_nonempty(spec: ForbiddenSpec) -> bool:
     return False
 
 
-# concrete walk analysis for finite-alphabet specs
-
-@lru_cache(maxsize=None)
-def _alphabet_edges(spec: ForbiddenSpec):
-    """States are (big-1)-words; a may follow s when s + a avoids F."""
-    letters = sorted(spec.alphabet)
-    occurs_in = spec.matcher.occurs_in
-    return {s: [a for a in letters if not occurs_in(s + (a,))]
-            for s in itertools.product(letters,
-                                       repeat=spec.max_pattern_len - 1)}
-
-
-@lru_cache(maxsize=None)
-def _alphabet_live_states(spec: ForbiddenSpec):
-    """States lying on some bi-infinite valid walk."""
-    edges = _alphabet_edges(spec)
-    succ = {s: [(s + (a,))[1:] for a in edges[s]] for s in edges}
-    pred = {s: [] for s in edges}
-    for s, ts in succ.items():
-        for t in ts:
-            pred[t].append(s)
-
-    def closure(start_map):
-        # States from which an infinite walk exists: iteratively remove
-        # states with no remaining successor.
-        alive = set(start_map)
-        changed = True
-        while changed:
-            changed = False
-            for s in list(alive):
-                if not any(t in alive for t in start_map[s]):
-                    alive.discard(s)
-                    changed = True
-        return alive
-
-    fwd = closure(succ)
-    bwd = closure(pred)
-    return frozenset(fwd & bwd)
-
-
-def _alphabet_walks_infinite(spec: ForbiddenSpec) -> bool:
-    live = _alphabet_live_states(spec)
-    if not live:
-        return False
-    edges = _alphabet_edges(spec)
-    out_deg = {s: 0 for s in live}
-    in_deg = {s: 0 for s in live}
-    for s in live:
-        for a in edges[s]:
-            t = (s + (a,))[1:]
-            if t in live:
-                out_deg[s] += 1
-                in_deg[t] += 1
-    # Degree ≤ 1 everywhere leaves only disjoint cycles: finitely many
-    # points.  Any branching live state yields a non-periodic walk, whose
-    # shift orbit is infinite.
-    return any(out_deg[s] > 1 or in_deg[s] > 1 for s in live)
-
-
 # ---------------------------------------------------------------------------
 # membership and language
 
@@ -356,7 +297,7 @@ def contains(spec: ForbiddenSpec, x: BiPoint) -> bool:
         return infinite_ok(spec, x)
     if isinstance(x, Empty):
         return inf_infinite(spec)
-    return inf_infinite(spec) and follower_infinite(spec, x.ray)
+    return follower_infinite(spec, x.ray) and inf_infinite(spec)
 
 
 def has_iep(spec: ForbiddenSpec, x: Finite) -> bool:
@@ -368,9 +309,7 @@ def has_iep(spec: ForbiddenSpec, x: Finite) -> bool:
 @lru_cache(maxsize=None)
 def _finite_word_ok(spec: ForbiddenSpec, word: tuple) -> bool:
     """Does some finite point of X_F end exactly with this (ø-free) word?"""
-    if not inf_infinite(spec):
-        return False
-    if spec.alphabet is not None:
+    if spec.alphabet is not None or not inf_infinite(spec):
         return False
     big = spec.max_pattern_len
     f = _fresh(spec, word)
@@ -402,18 +341,12 @@ def blocks(spec: ForbiddenSpec, n: int, cutoff: int) -> set:
     if mentioned and cutoff < max(mentioned) + 1:
         raise CutoffTooSmall("cutoff %d below mentioned letters %s"
                              % (cutoff, sorted(mentioned)))
-    if spec.alphabet is not None:
-        # Not pruned: the finite-alphabet witness search is not factor closed.
-        letters = sorted(a for a in spec.alphabet if a < cutoff)
-        out = {w for w in itertools.product(letters, repeat=n)
-               if word_in_language(spec, w)}
-    else:
-        levels = _block_levels(lambda w: word_in_language(spec, w), n, cutoff)
-        out = set(levels[n])
-        # A finite point ending with w has w as a block.
-        for m in range(1, n):
-            out |= {w + (EMPTY,) * (n - m) for w in levels[m]
-                    if _finite_word_ok(spec, w)}
+    levels = _block_levels(lambda w: word_in_language(spec, w), n, cutoff)
+    out = set(levels[n])
+    # A finite point ending with w has w as a block.
+    for m in range(1, n):
+        out |= {w + (EMPTY,) * (n - m) for w in levels[m]
+                if _finite_word_ok(spec, w)}
     if inf_infinite(spec):
         out.add((EMPTY,) * n)
     return out

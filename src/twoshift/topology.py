@@ -103,8 +103,8 @@ def nbhd_basis(x: BiPoint, budget: int,
     if budget < 1:
         raise ValueError("budget must be positive")
     if isinstance(x, Infinite):
-        anchor = 0
-        return [Cylinder(x.tail_ray(anchor - j)) for j in range(budget)]
+        # Longer bases fix more coordinates, so the cylinders shrink.
+        return [Cylinder(x.tail_ray(j)) for j in range(budget)]
     if isinstance(x, Finite):
         return [Cylinder(x.ray, frozenset(range(j + 1))) for j in range(budget)]
     rays = list(context_rays) or [canonicalize_ray((i,)) for i in range(budget)]

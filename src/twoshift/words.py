@@ -38,30 +38,7 @@ STAR = _Sentinel("*")
 
 Letter = int
 Cell = Union[int, _Sentinel]
-Word = tuple  # tuple of letters / EMPTY
 Pattern = tuple  # tuple of letters / STAR
-
-
-def check_word(word: Sequence[Cell]) -> Word:
-    """Validate the empty-letter closure of a word and return it as a tuple.
-
-    Once ``EMPTY`` occurs, every later cell must be ``EMPTY`` as well, since
-    words are windows of valid points.
-    """
-    w = tuple(word)
-    seen_empty = False
-    for c in w:
-        if c is EMPTY:
-            seen_empty = True
-        elif seen_empty:
-            raise ValueError("empty letter must be terminal in a word: %r" % (w,))
-        elif c is STAR or not isinstance(c, int) or c < 0:
-            raise ValueError("bad letter in word: %r" % (c,))
-    return w
-
-
-def word_letters(word: Sequence[Cell]) -> frozenset:
-    return frozenset(c for c in word if isinstance(c, int))
 
 
 def primitive_root(word: Sequence[int]) -> tuple:
@@ -200,10 +177,6 @@ class OccurrenceSummary:
     @property
     def is_empty(self) -> bool:
         return not self.finite and not self.families
-
-    @property
-    def is_infinite(self) -> bool:
-        return bool(self.families)
 
     def positions_down_to(self, lo: int):
         """Concrete end positions >= lo, descending (testing helper)."""

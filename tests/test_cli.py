@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from twoshift.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -155,3 +157,46 @@ class TestErrorHandling:
 
     def test_unknown_verb(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("verb, obj", [
+        ("code-check", {"memory": 0}),
+        ("code-check", {"memory": 0, "anticipation": 0, "default": "copy"}),
+        ("space-check", {"forbid_words": [5]}),
+        ("space-check", ["11"]),
+    ])
+    def test_malformed_json_is_a_one_line_error(self, capsys, tmp_path,
+                                                 verb, obj):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        argv = [verb, str(path)] + (["--point", "@"] if verb == "space-check"
+                                    else [])
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+# JSON values biased toward the keys the spec and rule readers look up.
+# Numbers stay small: building a rule enumerates up to (letters + 2)^width
+# abstract windows, a cost rather than a crash.
+_KEYS = ["forbid_words", "forbid_tails", "forbid_tails_containing",
+         "allow_tails", "alphabet", "overlap_m", "memory", "anticipation",
+         "clauses", "window", "output", "default", "letter"]
+_TEXT = st.sampled_from(["11", "*2", "(1)^-", "(01)^- 2", "copy 0", "copy",
+                         "empty", "_", "0", "3", "", "x", "1_"]) | \
+    st.text(max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=8)
+
+
+@given(value=_JSON)
+def test_any_json_input_exits_cleanly(tmp_path_factory, value):
+    path = tmp_path_factory.mktemp("json") / "input.json"
+    path.write_text(json.dumps(value))
+    for argv in (["space-check", str(path), "--point", "(0)^- . 1 (0)^+"],
+                 ["space-check", str(path), "--point", "@"],
+                 ["code-check", str(path)],
+                 ["bridge-lift", str(path)]):
+        assert main(argv) in (0, 1, 2)

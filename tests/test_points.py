@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import random_point
 from twoshift.errors import BadRange, NoRay, ParseError, ShiftError
-from twoshift.points import (EMPTY_POINT, Empty, Finite, Infinite,
+from twoshift.points import (EMPTY_POINT, ONE_EMPTY, Empty, Finite, Infinite,
                              constant_point, finite_point, format_one_point,
                              format_point, make_infinite, make_one_infinite,
-                             parse_point)
+                             one_finite, parse_point)
 from twoshift.words import EMPTY, canonicalize_ray
 
 words = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)
@@ -156,6 +156,14 @@ class TestOneSidedShift:
             assert z.shift(a + b) == z.shift(a).shift(b)
             assert [z.shift(a)[i] for i in range(1, 12)] == \
                 [z[i + a] for i in range(1, 12)]
+
+
+    def test_negative_shift_is_refused(self):
+        for z in (one_finite((1, 2, 3)), make_one_infinite((1,), (2,)),
+                  ONE_EMPTY):
+            with pytest.raises(ValueError):
+                z.shift(-1)
+            assert z.shift(0) == z
 
 
 class TestTextForm:
