@@ -8,6 +8,11 @@ position, or the empty letter; the first matching clause wins, a default
 clause closes the table.  Totality makes the preimage classes {C_a} a
 partition by construction; shift invariance of the empty class is checked
 at build time over abstract windows.
+
+Clause windows and pseudo cylinders are matched by the one window matcher
+:func:`twoshift.words.pattern_matches`: ``*`` is :data:`~twoshift.words.STAR`,
+``_`` is ø, and the free cells of pseudo cylinders are
+:data:`~twoshift.words.ANY`.
 """
 
 from __future__ import annotations
@@ -20,11 +25,8 @@ from .errors import (AlphabetMismatch, NotShiftInvariantEmptyClass,
                      ParseError, ShiftError)
 from .points import (BiPoint, Empty, EMPTY_POINT, Finite, Infinite,
                      constant_point, make_infinite)
-from .words import EMPTY, STAR, _Sentinel, canonicalize_ray, parse_letters
-
-#: Gap wildcard inside pseudo cylinder intersections: any letter of the
-#: extended alphabet.
-ANY = _Sentinel("?")
+from .words import (ANY, EMPTY, canonicalize_ray, parse_letters,
+                    pattern_matches)
 
 
 @dataclass(frozen=True)
@@ -45,16 +47,7 @@ class PseudoCylinder:
 
 
 def pseudo_contains(p: PseudoCylinder, x: BiPoint) -> bool:
-    for i, c in enumerate(p.cells):
-        v = x[p.start + i]
-        if c is ANY:
-            continue
-        if c is EMPTY:
-            if v is not EMPTY:
-                return False
-        elif v != c:
-            return False
-    return True
+    return pattern_matches(p.cells, x.window(p.start, p.end))
 
 
 def pseudo_intersect(a: PseudoCylinder, b: PseudoCylinder) -> List[PseudoCylinder]:
@@ -98,20 +91,9 @@ class FinitelyDefinedSet:
 
 
 def fds_from_pseudo(p: PseudoCylinder) -> FinitelyDefinedSet:
-    def decide(win: tuple) -> bool:
-        for i, c in enumerate(p.cells):
-            v = win[i]
-            if c is ANY:
-                continue
-            if c is EMPTY:
-                if v is not EMPTY:
-                    return False
-            elif v != c:
-                return False
-        return True
-
     ment = frozenset(c for c in p.cells if isinstance(c, int))
-    return FinitelyDefinedSet(p.start, p.end, decide, ment)
+    return FinitelyDefinedSet(p.start, p.end,
+                              lambda win: pattern_matches(p.cells, win), ment)
 
 
 def fds_contains(s: FinitelyDefinedSet, x: BiPoint) -> bool:
@@ -179,19 +161,6 @@ COPY = "copy"
 OUT_EMPTY = "empty"
 
 
-def _clause_matches(cells: tuple, win: tuple) -> bool:
-    for c, v in zip(cells, win):
-        if c is STAR:
-            if v is EMPTY:
-                return False
-        elif c is EMPTY:
-            if v is not EMPTY:
-                return False
-        elif v != c:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SlidingBlockCode:
     memory: int
@@ -238,7 +207,7 @@ def sbc_build(memory: int, anticipation: int,
 
     def rule(win: tuple):
         for cells, out in table:
-            if _clause_matches(cells, win):
+            if pattern_matches(cells, win):
                 return _emit(out, win, memory)
         return _emit(dflt, win, memory)
 

@@ -2,65 +2,36 @@
 
 Projection to the positive coordinates, the inverse-limit family of
 one-sided points, the cylinder homeomorphism onto Z(x), and the space
-level transfer of forbidden specifications in both directions.  One-sided
-machinery is implemented only to the depth these constructions need.
+level transfer of forbidden specifications in both directions.
+
+A one-sided Ott-Tomforde-Willis spec is a :class:`ForbiddenSpec` with only
+patterns (and perhaps a finite alphabet): the same data as a two-sided
+pattern spec, with the same matcher, state graph and fresh letter.  Only
+the language query differs, since a one-sided point has a left boundary.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
 
-from .automaton import StateGraph
 from .errors import NotMinimal
 from .points import (BiPoint, Empty, Finite, OneEmpty, OneFinite, OneInfinite,
                      OnePoint, ONE_EMPTY, make_infinite, make_one_infinite,
                      one_finite)
-from .spaces import ForbiddenSpec, _block_levels, is_minimal
-from .words import STAR, PatternSet, compile_patterns, ray_append
+from .spaces import (ForbiddenSpec, _block_levels, _fresh,
+                     _missing_subinstance, inf_infinite, is_minimal)
+from .words import ray_append
 
 
-@dataclass(frozen=True)
-class OneSpec:
+def OneSpec(patterns=frozenset(), alphabet=None) -> ForbiddenSpec:
     """Forbidden words of a one-sided Ott-Tomforde-Willis shift space."""
-
-    patterns: frozenset = frozenset()
-    alphabet: Optional[frozenset] = None
-
-    @cached_property
-    def mentioned(self) -> frozenset:
-        out = set()
-        for p in self.patterns:
-            out |= {c for c in p if isinstance(c, int)}
-        return frozenset(out)
-
-    @cached_property
-    def matcher(self) -> PatternSet:
-        return compile_patterns(self.patterns)
-
-    @cached_property
-    def max_pattern_len(self) -> int:
-        return max((len(p) for p in self.patterns), default=1)
-
-    @cached_property
-    def graph(self) -> StateGraph:
-        """The state graph of a finite-alphabet spec."""
-        return StateGraph(self.matcher, self.alphabet, self.max_pattern_len)
+    return ForbiddenSpec(frozenset(patterns), alphabet=alphabet)
 
 
-def _one_fresh(one: OneSpec, extra=()) -> int:
-    used = set(one.mentioned) | set(extra)
-    if one.alphabet is not None:
-        used |= set(one.alphabet)
-    return max(used, default=-1) + 1
-
-
-def one_contains(one: OneSpec, z: OnePoint) -> bool:
+def one_contains(one: ForbiddenSpec, z: OnePoint) -> bool:
     """Membership in the one-sided space X̂_F."""
     if isinstance(z, OneEmpty):
-        return one_inf_infinite(one)
+        return inf_infinite(one)
     if isinstance(z, OneInfinite):
         if one.alphabet is not None and not (
                 set(z.transient) | set(z.period)) <= one.alphabet:
@@ -73,51 +44,35 @@ def one_contains(one: OneSpec, z: OnePoint) -> bool:
     # A finite word needs infinitely many one-letter extensions.
     if one.alphabet is not None:
         return False
-    if not one_inf_infinite(one):
+    if not inf_infinite(one):
         return False
-    f = _one_fresh(one, z.word)
+    f = _fresh(one, z.word)
     probe = make_one_infinite(z.word + (f,), (f,))
     return one_contains(one, probe)
 
 
-def one_inf_infinite(one: OneSpec) -> bool:
-    if one.alphabet is None:
-        return not any(all(c is STAR for c in p) for p in one.patterns)
-    return one.graph.infinite()
-
-
-def one_word_in_language(one: OneSpec, w: tuple) -> bool:
+def one_word_in_language(one: ForbiddenSpec, w: tuple) -> bool:
     """Is w a block of the one-sided space (occurs in some valid point)?"""
     if one.alphabet is not None:
         return one.graph.one_word(tuple(w))
     big = one.max_pattern_len
-    f = _one_fresh(one, w)
+    f = _fresh(one, w)
     # Fresh padding is the best witness; only the distance of the word
     # from the left boundary still matters.
     return any(one_contains(one, make_one_infinite(
         (f,) * j + w + (f,) * (big - 1), (f,))) for j in range(big))
 
 
-def one_blocks(one: OneSpec, n: int, cutoff: int) -> set:
+def one_blocks(one: ForbiddenSpec, n: int, cutoff: int) -> set:
     """Non-ø blocks of X̂_F over letters below the cutoff."""
     return _block_levels(lambda w: one_word_in_language(one, w), n, cutoff)[n]
 
 
-def one_is_minimal(one: OneSpec):
+def one_is_minimal(one: ForbiddenSpec):
     """Is every proper subblock of every forbidden pattern a block of the
     one-sided space?  Returns (True, None) or (False, (word, parent))."""
-    ment = one.mentioned
-    f = _one_fresh(one)
-    for pat in sorted(one.patterns, key=str):
-        for n in range(1, len(pat)):
-            for o in range(len(pat) - n + 1):
-                sub = pat[o: o + n]
-                options = [[c] if isinstance(c, int) else sorted(ment) + [f]
-                           for c in sub]
-                for inst in itertools.product(*options):
-                    if not one_word_in_language(one, tuple(inst)):
-                        return False, (tuple(inst), pat)
-    return True, None
+    missing = _missing_subinstance(one, one_word_in_language)
+    return (True, None) if missing is None else (False, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +85,22 @@ class ProjectionResult:
     continuous: bool  # the projection is continuous at x iff l(x) >= 0
 
 
+def _restrict(x: BiPoint, l: int) -> OnePoint:
+    """(x_i)_{i>l} as a one-sided point; a finite x must not end before l."""
+    if isinstance(x, Finite):
+        k = x.ray.end_index
+        return one_finite(x.window(l + 1, k)) if k > l else ONE_EMPTY
+    hi = max(x.body_start + len(x.body) - 1, l)
+    transient = tuple(x[i] for i in range(l + 1, hi + 1))
+    period = tuple(x[hi + 1 + j] for j in range(len(x.right_period)))
+    return make_one_infinite(transient, period)
+
+
 def project(x: BiPoint) -> ProjectionResult:
     """Restriction (x_i)_{i>=1} to the positive coordinates."""
     if isinstance(x, Empty):
         return ProjectionResult(ONE_EMPTY, False)
-    if isinstance(x, Finite):
-        l = x.ray.end_index
-        if l < 1:
-            return ProjectionResult(ONE_EMPTY, l >= 0)
-        return ProjectionResult(one_finite(x.window(1, l)), True)
-    hi = max(x.body_start + len(x.body) - 1, 0)
-    transient = tuple(x[i] for i in range(1, hi + 1))
-    period = tuple(x[hi + 1 + j] for j in range(len(x.right_period)))
-    return ProjectionResult(make_one_infinite(transient, period), True)
+    return ProjectionResult(_restrict(x, 0), x.length() >= 0)
 
 
 class OrbitFamily:
@@ -177,19 +135,9 @@ def embed_in_cylinder(base: Finite, z: OnePoint) -> BiPoint:
 
 def embed_inverse(base: Finite, y: BiPoint) -> OnePoint:
     l = base.ray.end_index
-    if isinstance(y, Empty) or y.length() < l:
+    if isinstance(y, Empty) or y.length() < l or y.tail_ray(l) != base.ray:
         raise ValueError("point does not lie in the base cylinder")
-    if y.tail_ray(l) != base.ray:
-        raise ValueError("point does not lie in the base cylinder")
-    if isinstance(y, Finite):
-        k = y.ray.end_index
-        if k == l:
-            return ONE_EMPTY
-        return one_finite(y.window(l + 1, k))
-    hi = max(y.body_start + len(y.body) - 1, l)
-    transient = tuple(y[i] for i in range(l + 1, hi + 1))
-    period = tuple(y[hi + 1 + j] for j in range(len(y.right_period)))
-    return make_one_infinite(transient, period)
+    return _restrict(y, l)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +146,7 @@ def embed_inverse(base: Finite, y: BiPoint) -> OnePoint:
 
 @dataclass(frozen=True)
 class ProjectedSpace:
-    one: OneSpec
+    one: ForbiddenSpec  # patterns only
     letters_infinite: bool  # |L_Lambda| = infinity: closure is the OTW space
 
 
@@ -209,8 +157,7 @@ def project_space(spec: ForbiddenSpec) -> ProjectedSpace:
     if not ok:
         raise NotMinimal("subblock %s of %s is not in the language"
                          % (witness[0], witness[1]))
-    letters_inf = spec.alphabet is None and not any(
-        all(c is STAR for c in p) for p in spec.patterns)
+    letters_inf = spec.alphabet is None and not spec.all_wildcard
     return ProjectedSpace(OneSpec(spec.patterns, spec.alphabet), letters_inf)
 
 
@@ -220,14 +167,13 @@ class LiftedSpace:
     case: str  # "i": Lambda = X_F; "ii": Lambda union {empty} = X_F
 
 
-def lift_space(one: OneSpec) -> LiftedSpace:
-    two = ForbiddenSpec(one.patterns, frozenset(), None, one.alphabet)
+def lift_space(one: ForbiddenSpec) -> LiftedSpace:
+    """The two-sided space of a minimal one-sided spec: the same patterns."""
     ok, witness = one_is_minimal(one)
     if not ok:
         raise NotMinimal("subblock %s of %s is not in the language"
                          % (witness[0], witness[1]))
-    letters_inf = one.alphabet is None and not any(
-        all(c is STAR for c in p) for p in one.patterns)
-    space_finite = not one_inf_infinite(one)
+    letters_inf = one.alphabet is None and not one.all_wildcard
+    space_finite = not inf_infinite(one)
     case = "i" if letters_inf or space_finite else "ii"
-    return LiftedSpace(two, case)
+    return LiftedSpace(one, case)

@@ -43,10 +43,6 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _word_str(w) -> str:
-    return format_letters(w)
-
-
 def cmd_point_eval(args) -> int:
     x = parse_point(args.point)
     if args.shift is not None:
@@ -62,7 +58,7 @@ def cmd_point_eval(args) -> int:
         return 0
     if args.window is not None:
         i, j = args.window
-        print(_word_str(x.window(i, j)))
+        print(format_letters(x.window(i, j)))
         return 0
     if args.tail is not None:
         print(str(x.tail_ray(args.tail)))
@@ -90,7 +86,7 @@ def cmd_space_blocks(args) -> int:
         bl = spaces.blocks(spec, args.n, args.cutoff)
     for w in sorted(bl, key=lambda w: tuple(
             (1, 0) if c is EMPTY else (0, c) for c in w)):
-        print(_word_str(w))
+        print(format_letters(w))
     return 0
 
 
@@ -125,7 +121,7 @@ def cmd_space_equal(args) -> int:
         print("equal up to budget %d" % args.n_budget)
         return 0
     print("differ: %s" % (witness if not isinstance(witness, tuple)
-                          else _word_str(witness)))
+                          else format_letters(witness)))
     return 1
 
 
@@ -170,10 +166,11 @@ def cmd_edge_build(args) -> int:
         sys.stdout.write(higherblock.graph_to_dot(graph))
         return 0
     print("vertices: %s" % ", ".join(
-        _word_str(v) if v else "()" for v in graph.vertices))
-    print("edges: %s" % ", ".join(_word_str(e) for e in graph.edges))
+        format_letters(v) if v else "()" for v in graph.vertices))
+    print("edges: %s" % ", ".join(format_letters(e) for e in graph.edges))
     print("infinite emitters: %s" % ", ".join(
-        _word_str(v) if v else "()" for v in sorted(graph.infinite_emitters)))
+        format_letters(v) if v else "()"
+        for v in sorted(graph.infinite_emitters)))
     return 0
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadRange, NoRay, ParseError, ShiftError
-from .words import (EMPTY, LeftRay, canonicalize_ray, format_letters,
-                    parse_letters, primitive_root, ray_tail)
+from .words import (EMPTY, LeftRay, _canonical_eventual, canonicalize_ray,
+                    format_letters, parse_letters, primitive_root, ray_tail)
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -206,10 +206,7 @@ def make_infinite(left_period: Sequence[int], body: Sequence[int],
     if any(not isinstance(c, int) or c < 0 for c in p + b + q):
         raise ValueError("infinite points contain plain letters only")
     # Absorb the body suffix into the right period.
-    q = primitive_root(q)
-    while b and b[-1] == q[-1]:
-        b = b[:-1]
-        q = (q[-1],) + q[:-1]
+    b, q = _canonical_eventual(b, q)
     # Absorb the body prefix into the left period.
     while b and b[0] == p[0]:
         b = b[1:]
@@ -338,12 +335,7 @@ class OneInfinite(OnePoint):
 
 def make_one_infinite(transient: Sequence[int], period: Sequence[int]) -> OneInfinite:
     """Canonical one-sided infinite point (minimal transient, primitive period)."""
-    p = primitive_root(tuple(period))
-    t = tuple(transient)
-    while t and t[-1] == p[-1]:
-        t = t[:-1]
-        p = (p[-1],) + p[:-1]
-    return OneInfinite(t, p)
+    return OneInfinite(*_canonical_eventual(transient, period))
 
 
 def one_finite(word: Sequence[int]) -> OnePoint:
@@ -389,31 +381,29 @@ def format_point(x: BiPoint) -> str:
         if k < 0:
             body = (format_letters(x.ray.transient) + " ") if x.ray.transient else ""
             return "(%s)^- %s@%d #" % (format_letters(x.ray.period), body, k)
-        lo = k - len(x.ray.transient) + 1
-        lo = min(lo, 1)
-        u = x.window(lo, 0) if lo <= 0 else ()
-        v = x.window(1, k) if k >= 1 else ()
-        n = len(x.ray.period)
-        p = tuple(x[lo - n + i] for i in range(n))
-        return "(%s)^- %s. %s#" % (
-            format_letters(p),
-            (format_letters(u) + " ") if u else "",
-            (format_letters(v) + " ") if v else "")
+        return _format_around_zero(x, min(k - len(x.ray.transient) + 1, 1), k,
+                                   len(x.ray.period), "#")
     if not isinstance(x, Infinite):
         raise ShiftError("cannot format %s as a point" % type(x).__name__)
-    lo = min(x.body_start, 1)
     hi = max(x.body_start + len(x.body) - 1, 0)
+    q = tuple(x[hi + 1 + i] for i in range(len(x.right_period)))
+    return _format_around_zero(x, min(x.body_start, 1), hi, len(x.left_period),
+                               "(%s)^+" % format_letters(q))
+
+
+def _format_around_zero(x: BiPoint, lo: int, hi: int, n: int,
+                        right: str) -> str:
+    """``(p)^- u . v`` and then ``right``: u is x_lo..x_0, v is x_1..x_hi,
+    and p the n cells before lo, so the period is read in the phase next
+    to u."""
     u = x.window(lo, 0) if lo <= 0 else ()
     v = x.window(1, hi) if hi >= 1 else ()
-    # Rotate the displayed periods to the phases adjacent to the window.
-    n = len(x.left_period)
     p = tuple(x[lo - n + i] for i in range(n))
-    q = tuple(x[hi + 1 + i] for i in range(len(x.right_period)))
-    return "(%s)^- %s. %s(%s)^+" % (
+    return "(%s)^- %s. %s%s" % (
         format_letters(p),
         (format_letters(u) + " ") if u else "",
         (format_letters(v) + " ") if v else "",
-        format_letters(q))
+        right)
 
 
 _ONE_RE = re.compile(r"^([^.()#]*?)\s*(?:#|\.?\s*\(\s*([^)]*?)\s*\)\^\+)$")

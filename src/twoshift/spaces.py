@@ -42,7 +42,7 @@ from .errors import (AllowlistUnsupported, CutoffTooSmall, FiniteAlphabetTails,
 from .points import (BiPoint, Empty, Finite, Infinite, make_infinite)
 from .words import (EMPTY, STAR, LeftRay, PatternSet, canonicalize_ray,
                     compile_patterns, format_pattern, parse_pattern,
-                    parse_ray, primitive_root, ray_append,
+                    parse_ray, pattern_matches, primitive_root, ray_append,
                     ray_equals_pattern_tail, ray_subword_occurrences,
                     rotations, words_conjugate)
 
@@ -79,6 +79,12 @@ class ForbiddenSpec:
     @cached_property
     def max_pattern_len(self) -> int:
         return max((len(p) for p in self.patterns), default=1)
+
+    @cached_property
+    def all_wildcard(self) -> bool:
+        """Is some pattern all wildcards?  It matches every window of
+        letters, so no infinite point survives at all."""
+        return any(all(c is STAR for c in p) for p in self.patterns)
 
     @cached_property
     def graph(self) -> StateGraph:
@@ -254,9 +260,7 @@ def inf_infinite(spec: ForbiddenSpec) -> bool:
     """Is the infinite part of X_F an infinite set?"""
     if spec.alphabet is not None:
         return spec.graph.infinite()
-    if any(all(c is STAR for c in p) for p in spec.patterns):
-        # An all-wildcard pattern matches every window, so no infinite
-        # point survives at all.
+    if spec.all_wildcard:
         return False
     if spec.allow is None:
         # A fresh constant point is valid, and fresh letters are
@@ -275,7 +279,7 @@ def inf_infinite(spec: ForbiddenSpec) -> bool:
 def inf_nonempty(spec: ForbiddenSpec) -> bool:
     if spec.alphabet is not None:
         return spec.graph.nonempty()
-    if any(all(c is STAR for c in p) for p in spec.patterns):
+    if spec.all_wildcard:
         return False
     if spec.allow is None:
         return True
@@ -395,6 +399,20 @@ def _instances(pattern: tuple, mentioned, f: int):
     return itertools.product(*options)
 
 
+def _missing_subinstance(spec: ForbiddenSpec, member):
+    """The first instance of a proper subword of a pattern that is not a
+    block, as (instance, pattern), or None; ``member(spec, word)`` decides
+    blocks, so both sides share this walk."""
+    f = _fresh(spec)
+    for pat in sorted(spec.patterns, key=str):
+        for n in range(1, len(pat)):
+            for o in range(len(pat) - n + 1):
+                for inst in _instances(pat[o: o + n], spec.mentioned, f):
+                    if not member(spec, inst):
+                        return inst, pat
+    return None
+
+
 def _pattern_bad(spec: ForbiddenSpec, pattern: tuple) -> bool:
     """True iff no instance of the pattern is a block of X_F."""
     mentioned = spec.mentioned
@@ -406,11 +424,8 @@ def _pattern_bad(spec: ForbiddenSpec, pattern: tuple) -> bool:
 def _pattern_occurs_in(small: tuple, big_pat: tuple) -> bool:
     """Every instance of big_pat contains an instance of small."""
     n = len(small)
-    for o in range(len(big_pat) - n + 1):
-        if all(s is STAR or s == big_pat[o + i]
-               for i, s in enumerate(small)):
-            return True
-    return False
+    return any(pattern_matches(small, big_pat[o: o + n])
+               for o in range(len(big_pat) - n + 1))
 
 
 def _ray_windows(spec: ForbiddenSpec, ray: LeftRay, max_len: int):
@@ -425,18 +440,11 @@ def is_minimal(spec: ForbiddenSpec):
     X_F?  Returns (True, None) or (False, (offending word, parent))."""
     if spec.allow is not None:
         raise AllowlistUnsupported("minimality needs a pure forbidden list")
-    mentioned = spec.mentioned
-    big = spec.max_pattern_len
-    for pat in sorted(spec.patterns, key=str):
-        f = _fresh(spec)
-        for n in range(1, len(pat)):
-            for o in range(len(pat) - n + 1):
-                sub = pat[o: o + n]
-                for inst in _instances(sub, mentioned, f):
-                    if not word_in_language(spec, tuple(inst)):
-                        return False, (tuple(inst), pat)
-    bound = big + max((len(r.period) + len(r.transient) for r in spec.rays),
-                      default=0)
+    missing = _missing_subinstance(spec, word_in_language)
+    if missing is not None:
+        return False, missing
+    bound = spec.max_pattern_len + max(
+        (len(r.period) + len(r.transient) for r in spec.rays), default=0)
     for r in sorted(spec.rays, key=lambda r: (r.period, r.transient)):
         for w in _ray_windows(spec, r, bound):
             if not word_in_language(spec, w):

@@ -3,7 +3,12 @@
 Letters are nonnegative integers.  The empty letter (rendered ``_``) is the
 module-level sentinel :data:`EMPTY`; it never belongs to an alphabet and only
 shows up as padding at the right end of words.  The pattern wildcard
-(rendered ``*``) is :data:`STAR` and matches exactly one non-empty letter.
+(rendered ``*``) is :data:`STAR` and matches exactly one non-empty letter;
+the gap wildcard :data:`ANY` (rendered ``?``) matches any cell, ø included.
+
+Two primitives match cells: :func:`pattern_matches` tests one window against
+one row of pattern cells (patterns, rule clauses, pseudo cylinders), and a
+:class:`PatternSet` scans cells for an occurrence of any of its patterns.
 
 A left ray represents a left-infinite, eventually periodic sequence
 ``...ppp.t`` whose last entry sits at a fixed integer index.  Rays are kept
@@ -35,6 +40,9 @@ EMPTY = _Sentinel("_")
 
 #: Pattern wildcard matching any single non-empty letter.
 STAR = _Sentinel("*")
+
+#: Gap wildcard matching any single cell, the empty letter included.
+ANY = _Sentinel("?")
 
 Letter = int
 Cell = Union[int, _Sentinel]
@@ -189,16 +197,19 @@ class OccurrenceSummary:
         return sorted(out, reverse=True)
 
 
-def pattern_matches(pattern: Pattern, window: Sequence[Cell]) -> bool:
-    """Match a wildcard pattern against a window of equal length."""
+def pattern_matches(pattern: Sequence[Cell], window: Sequence[Cell]) -> bool:
+    """Match pattern cells against a window of equal length, cell by cell.
+
+    :data:`STAR` matches any letter but not ø, :data:`ANY` matches any
+    cell, and any other cell (ø included) matches only itself.
+    """
     if len(pattern) != len(window):
         return False
     for c, w in zip(pattern, window):
-        if w is EMPTY:
-            return False
         if c is STAR:
-            continue
-        if c != w:
+            if w is EMPTY:
+                return False
+        elif c is not ANY and c != w:
             return False
     return True
 
@@ -296,23 +307,16 @@ def ray_equals_pattern_tail(ray: LeftRay, forbidden: LeftRay) -> bool:
 
 
 def parse_letters(text: str) -> tuple:
-    """Parse a run of letters: `011`, `0 1 12`, `0,1,12`, `*2`, `1_ _`.
+    """Parse a run of letters: `011`, `0 1 12`, `0,1,12`, `12,`, `*2`, `1__`.
 
-    Single-token digit runs are read one letter per character; tokens with
-    separators are read as multi-digit letters.
+    Text without a separator is read one letter per character; text with a
+    separator (a comma or a space) is read as multi-digit tokens, and empty
+    tokens are dropped, so a lone wide letter is written `12,`.
     """
     text = text.strip()
-    if not text:
-        return ()
-    toks = re.split(r"[,\s]+", text)
-    cells = []
-    if len(toks) == 1:
-        for ch in toks[0]:
-            cells.append(_parse_cell(ch))
-    else:
-        for tok in toks:
-            cells.append(_parse_cell(tok))
-    return tuple(cells)
+    if not re.search(r"[,\s]", text):
+        return tuple(_parse_cell(ch) for ch in text)
+    return tuple(_parse_cell(tok) for tok in re.split(r"[,\s]+", text) if tok)
 
 
 def _parse_cell(tok: str) -> Cell:
@@ -326,7 +330,11 @@ def _parse_cell(tok: str) -> Cell:
 
 
 def format_letters(cells: Iterable[Cell]) -> str:
-    """Inverse of :func:`parse_letters`; compact for single-digit alphabets."""
+    """Inverse of :func:`parse_letters`; compact for single-digit alphabets.
+
+    Cells containing a letter above 9 are separated by spaces, and a lone
+    such letter gets a trailing comma, so that it reads back as one letter.
+    """
     parts = []
     wide = False
     for c in cells:
@@ -337,7 +345,9 @@ def format_letters(cells: Iterable[Cell]) -> str:
         else:
             parts.append(str(c))
             wide = wide or c > 9
-    return (" " if wide else "").join(parts)
+    if not wide:
+        return "".join(parts)
+    return " ".join(parts) if len(parts) > 1 else parts[0] + ","
 
 
 _RAY_RE = re.compile(r"^\(\s*([^)]*?)\s*\)\^-\s*([^@]*?)\s*(?:@\s*(-?\d+))?$")

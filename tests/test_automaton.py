@@ -14,14 +14,15 @@ import random
 import pytest
 
 from conftest import random_pattern
-from twoshift.bridge import (OneSpec, one_blocks, one_inf_infinite,
+from twoshift.bridge import (OneSpec, one_blocks, one_is_minimal,
                              one_word_in_language)
 from twoshift.cli import main
 from twoshift.errors import FiniteAlphabetTails
 from twoshift.points import EMPTY_POINT, parse_point
-from twoshift.spaces import (blocks, contains, inf_infinite, inf_nonempty,
-                             is_minimal, make_spec, ray_in_language,
-                             word_in_language)
+from twoshift.spaces import inf_infinite as one_inf_infinite
+from twoshift.spaces import (ForbiddenSpec, blocks, contains, inf_infinite,
+                             inf_nonempty, is_minimal, make_spec,
+                             ray_in_language, word_in_language)
 from twoshift.words import EMPTY, STAR, canonicalize_ray, parse_ray
 
 
@@ -241,6 +242,7 @@ class TestAgainstOracle:
         for _ in range(60):
             spec = random_finite_spec(rng)
             one = OneSpec(spec.patterns, spec.alphabet)
+            assert one == ForbiddenSpec(spec.patterns, alphabet=spec.alphabet)
             k = len(spec.alphabet)
             lang = DeBruijnOracle(spec.patterns, spec.alphabet)
             for n in range(5):
@@ -248,6 +250,27 @@ class TestAgainstOracle:
                     assert one_word_in_language(one, w) == lang.one_word(w), \
                         (one, w)
             assert one_inf_infinite(one) == lang.infinite(lang.one_word), one
+
+    def test_one_sided_minimality_is_the_literal_definition(self):
+        # Over the infinite alphabet, unmentioned letters may be renamed to
+        # one another, so a word over the mentioned letters {0, 1} and two
+        # fresh letters is a block iff it is one over those four letters.
+        rng = random.Random(64)
+        for _ in range(60):
+            one = OneSpec(frozenset(random_pattern(rng, 3, 2, 0.3)
+                                    for _ in range(rng.randint(1, 3))))
+            lang = DeBruijnOracle(one.patterns, range(4))
+            subwords = [(pat[o: o + n], pat) for pat in one.patterns
+                        for n in range(1, len(pat))
+                        for o in range(len(pat) - n + 1)]
+            missing = [(inst, pat) for sub, pat in subwords
+                       for inst in itertools.product(*[
+                           range(4) if c is STAR else (c,) for c in sub])
+                       if not lang.one_word(inst)]
+            ok, witness = one_is_minimal(one)
+            assert ok == (not missing), (one, missing)
+            if not ok:
+                assert not lang.one_word(witness[0]), (one, witness)
 
     def test_branching_before_every_cycle_is_not_infinite(self):
         # 0 may go to 1 or 2, each of which then repeats forever: four

@@ -4,13 +4,13 @@ import random
 import pytest
 from twoshift.bridge import (OneSpec, embed_in_cylinder, embed_inverse,
                              lift_space, one_blocks, one_contains,
-                             one_inf_infinite, one_is_minimal,
-                             one_word_in_language, p_inverse, project,
-                             project_space)
+                             one_is_minimal, one_word_in_language, p_inverse,
+                             project, project_space)
 from twoshift.errors import NotMinimal
 from twoshift.points import (EMPTY_POINT, Finite, ONE_EMPTY, format_one_point,
                              parse_one_point, parse_point)
 from twoshift.spaces import blocks, contains, make_spec, word_in_language
+from twoshift.spaces import inf_infinite as one_inf_infinite
 from twoshift.words import EMPTY, STAR
 
 from conftest import random_finite, random_pattern, random_point

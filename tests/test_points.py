@@ -9,12 +9,16 @@ from twoshift.errors import BadRange, NoRay, ParseError, ShiftError
 from twoshift.points import (EMPTY_POINT, ONE_EMPTY, Empty, Finite, Infinite,
                              constant_point, finite_point, format_one_point,
                              format_point, make_infinite, make_one_infinite,
-                             one_finite, parse_point)
+                             one_finite, parse_one_point, parse_point)
 from twoshift.words import EMPTY, canonicalize_ray
 
 words = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)
 bodies = st.lists(st.integers(0, 4), min_size=0, max_size=4).map(tuple)
 small_ints = st.integers(-4, 4)
+# Letters up to 1000, with single digits as likely as wide letters.
+wide_letters = st.one_of(st.integers(0, 9), st.integers(10, 1000))
+wide_words = st.lists(wide_letters, min_size=1, max_size=3).map(tuple)
+wide_bodies = st.lists(wide_letters, max_size=4).map(tuple)
 
 
 def window(x, lo, hi):
@@ -188,3 +192,10 @@ class TestTextForm:
         for _ in range(300):
             x = random_point(rng)
             assert parse_point(format_point(x)) == x
+
+    @given(wide_words, wide_bodies, wide_words, small_ints, st.booleans())
+    def test_wide_letters_survive_round_trip(self, p, b, q, k, finite):
+        x = finite_point(p, b, k) if finite else make_infinite(p, b, q, k)
+        assert parse_point(format_point(x)) == x
+        for z in (one_finite(b), make_one_infinite(b, q)):
+            assert parse_one_point(format_one_point(z)) == z

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twoshift.errors import EmptyPeriod, ParseError
-from twoshift.words import (EMPTY, STAR, LeftRay, canonicalize_ray,
+from twoshift.words import (ANY, EMPTY, STAR, LeftRay, canonicalize_ray,
                             compile_patterns, format_letters, format_pattern,
                             parse_letters, parse_pattern, parse_ray,
                             pattern_matches, primitive_root, ray_append,
@@ -14,6 +15,9 @@ from twoshift.words import (EMPTY, STAR, LeftRay, canonicalize_ray,
 
 words = st.lists(st.integers(0, 4), min_size=1, max_size=6).map(tuple)
 small_ints = st.integers(-5, 5)
+# Letters up to 1000, with single digits as likely as wide letters.
+wide_letters = st.one_of(st.integers(0, 9), st.integers(10, 1000))
+wide_words = st.lists(wide_letters, min_size=1, max_size=4).map(tuple)
 
 
 def expand(ray: LeftRay, lo: int) -> list:
@@ -170,6 +174,17 @@ class TestParsing:
         ray = canonicalize_ray(p, t, k)
         assert parse_ray(str(ray)) == ray
 
+    @given(wide_words, st.lists(wide_letters, max_size=4).map(tuple),
+           small_ints)
+    def test_wide_letters_survive_round_trip(self, p, t, k):
+        ray = canonicalize_ray(p, t, k)
+        assert parse_ray(str(ray)) == ray
+
+    @given(st.lists(st.one_of(wide_letters, st.just(STAR)), min_size=1,
+                    max_size=4).map(tuple))
+    def test_any_pattern_survives_round_trip(self, pat):
+        assert parse_pattern(format_pattern(pat)) == pat
+
 
 class TestPatternMatching:
     def test_star_needs_a_letter(self):
@@ -177,6 +192,29 @@ class TestPatternMatching:
         assert not pattern_matches((STAR,), (EMPTY,))
         assert pattern_matches((1, STAR), (1, 0))
         assert not pattern_matches((1, STAR), (0, 0))
+
+    def test_every_cell_rule_agrees_with_a_naive_oracle(self):
+        def naive(pattern, window):
+            if len(pattern) != len(window):
+                return False
+            ok = True
+            for c, w in zip(pattern, window):
+                if c is STAR:
+                    ok = ok and w is not EMPTY
+                elif c is EMPTY:
+                    ok = ok and w is EMPTY
+                elif c is not ANY:
+                    ok = ok and isinstance(w, int) and w == c
+            return ok
+
+        def rows(cells):
+            return [row for n in range(4)
+                    for row in itertools.product(cells, repeat=n)]
+
+        for pattern in rows((0, 1, STAR, ANY, EMPTY)):
+            for window in rows((0, 1, EMPTY)):
+                assert pattern_matches(pattern, window) == \
+                    naive(pattern, window), (pattern, window)
 
     def test_compiled_set_agrees_with_pattern_loop(self):
         rng = random.Random(17)
