@@ -65,7 +65,8 @@ def one_word_in_language(one: ForbiddenSpec, w: tuple) -> bool:
 
 def one_blocks(one: ForbiddenSpec, n: int, cutoff: int) -> set:
     """Non-ø blocks of X̂_F over letters below the cutoff."""
-    return _block_levels(lambda w: one_word_in_language(one, w), n, cutoff)[n]
+    return _block_levels(lambda w: one_word_in_language(one, w), n,
+                         range(cutoff))[n]
 
 
 def one_is_minimal(one: ForbiddenSpec):

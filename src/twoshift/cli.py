@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_space_classify)
 
-    s = sub.add_parser("space-equal", help="bounded space comparison")
+    s = sub.add_parser("space-equal",
+                       help="space comparison (exact without allowlists)")
     s.add_argument("spec")
     s.add_argument("other")
     s.add_argument("--n-budget", type=int, default=3)

@@ -335,6 +335,9 @@ class OneInfinite(OnePoint):
 
 def make_one_infinite(transient: Sequence[int], period: Sequence[int]) -> OneInfinite:
     """Canonical one-sided infinite point (minimal transient, primitive period)."""
+    period = tuple(period)
+    if not period:
+        raise ValueError("periods of an infinite point must be nonempty")
     return OneInfinite(*_canonical_eventual(transient, period))
 
 

@@ -27,13 +27,19 @@ decided in one of two exact ways:
 Both tests are exact, so the language is factor closed and blocks are
 enumerated factor closed: B_m(X) grows from B_{m-1}(X) one letter at a
 time, so the cost follows the output, not cutoff^n.
+
+Equality of two spaces is a third exact decision when neither spec has an
+allowlist: the N-blocks of the pattern-only parts over the letters either
+spec names, plus one fresh letter, and then a cover check of the live
+forbidden tails (:func:`equal_spaces`).  With an allowlist it stays a
+bounded scan.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Optional
 
 from .automaton import StateGraph
@@ -322,19 +328,20 @@ def _finite_word_ok(spec: ForbiddenSpec, word: tuple) -> bool:
                for pl in _left_periods(spec, f))
 
 
-def _block_levels(member, n: int, cutoff: int) -> list:
-    """[B_0, ..., B_n] over letters below the cutoff of the factor-closed
-    language whose words satisfy ``member``.
+def _block_levels(member, n: int, letters: Iterable[int]) -> list:
+    """[B_0, ..., B_n] over the given letters of the factor-closed language
+    whose words satisfy ``member``.
 
     B_m grows from B_{m-1}: w is extended by a only when (w + a)[1:] is in
-    B_{m-1}, so the cost follows the output, not cutoff^n.
+    B_{m-1}, so the cost follows the output, not |letters|^n.
     """
     if n < 0:
         raise ValueError("block length %d is negative" % n)
+    letters = tuple(letters)
     levels = [{()} if member(()) else set()]
     for _ in range(n):
         prev = levels[-1]
-        levels.append({w + (a,) for w in prev for a in range(cutoff)
+        levels.append({w + (a,) for w in prev for a in letters
                        if (w + (a,))[1:] in prev and member(w + (a,))})
     return levels
 
@@ -345,7 +352,8 @@ def blocks(spec: ForbiddenSpec, n: int, cutoff: int) -> set:
     if mentioned and cutoff < max(mentioned) + 1:
         raise CutoffTooSmall("cutoff %d below mentioned letters %s"
                              % (cutoff, sorted(mentioned)))
-    levels = _block_levels(lambda w: word_in_language(spec, w), n, cutoff)
+    levels = _block_levels(lambda w: word_in_language(spec, w), n,
+                           range(cutoff))
     out = set(levels[n])
     # A finite point ending with w has w as a block.
     for m in range(1, n):
@@ -531,6 +539,63 @@ def classify(spec: ForbiddenSpec) -> Classification:
 
 def equal_spaces(a: ForbiddenSpec, b: ForbiddenSpec, n_budget: int,
                  cutoff: int):
+    """Is X_a = X_b?  Returns (True, None) or (False, witness block or ray).
+
+    Without allowlists the answer is exact:
+
+    * the pattern-only bases are (N-1)-step spaces, N the longest pattern
+      of either spec, so each is fixed by its N-blocks.  Patterns cannot
+      tell unmentioned letters apart, so the blocks over the letters
+      either spec mentions or lists, plus one fresh letter when either
+      alphabet is infinite, decide; the finite points and the empty point
+      are functions of the infinite part.  The witness is the least
+      differing word, by ``str``, of the shortest differing length;
+    * when the bases agree, a forbidden tail r removes the points with a
+      left tail r, none at all when r is not a ray of the base.  So the
+      spaces are equal iff every such live tail of each spec has a
+      sub-tail forbidden by the other.  Otherwise the least uncovered
+      live tail, by period length, transient length and letters, is the
+      witness ray: the point r followed by a fresh letter lies in one
+      space and not in the other.
+
+    With an allowlist on either spec the comparison is bounded: blocks up
+    to length ``n_budget`` and rays with period and transient up to
+    ``n_budget``, over letters below ``cutoff``; (True, None) then means
+    that no difference was found within the budget.
+    """
+    if a.allow is not None or b.allow is not None:
+        return _equal_up_to_budget(a, b, n_budget, cutoff)
+    if any(s.alphabet is not None and s.rays for s in (a, b)):
+        raise FiniteAlphabetTails(
+            "forbidden tails over a finite alphabet are not supported")
+    # A spec without tails is its own base, so its cached graph is reused.
+    base_a, base_b = (replace(s, rays=frozenset()) if s.rays else s
+                      for s in (a, b))
+    if base_a != base_b:
+        letters = set(a.mentioned | b.mentioned)
+        for s in (a, b):
+            letters |= s.alphabet or set()
+        if a.alphabet is None or b.alphabet is None:
+            letters.add(max(letters, default=-1) + 1)
+        n = max(a.max_pattern_len, b.max_pattern_len)
+        la, lb = (_block_levels(partial(word_in_language, base), n,
+                                sorted(letters))
+                  for base in (base_a, base_b))
+        for x, y in zip(la[1:], lb[1:]):
+            if x != y:
+                return False, min(x ^ y, key=str)
+    uncovered = [r for s, base, other in ((a, base_a, b), (b, base_b, a))
+                 for r in s.rays if ray_in_language(base, r)
+                 and not any(ray_equals_pattern_tail(r, g)
+                             for g in other.rays)]
+    if uncovered:
+        return False, min(uncovered, key=lambda r: (
+            len(r.period), len(r.transient), r.period, r.transient))
+    return True, None
+
+
+def _equal_up_to_budget(a: ForbiddenSpec, b: ForbiddenSpec, n_budget: int,
+                        cutoff: int):
     """Bounded comparison: (True, None) when no difference is found within
     the budget, else (False, witness block or ray)."""
     for n in range(1, n_budget + 1):

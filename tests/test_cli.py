@@ -86,6 +86,15 @@ class TestSpaceVerbs:
                            fixture("goldenmean.json"), str(different))
         assert code == 1 and out.startswith("differ:")
 
+    def test_equal_beyond_the_budget(self, capsys, tmp_path):
+        free = tmp_path / "free.json"
+        free.write_text('{"forbid_words": []}')
+        word4 = tmp_path / "word4.json"
+        word4.write_text('{"forbid_words": ["0123"]}')
+        code, out, _ = run(capsys, "space-equal", str(free), str(word4),
+                           "--n-budget", "1")
+        assert code == 1 and out == "differ: 0123\n"
+
 
 class TestCodeVerbs:
     def test_apply(self, capsys):

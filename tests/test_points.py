@@ -169,6 +169,11 @@ class TestOneSidedShift:
                 z.shift(-1)
             assert z.shift(0) == z
 
+    def test_empty_period_is_refused(self):
+        for text in (". ()^+", "1 . ()^+"):
+            with pytest.raises(ValueError, match="nonempty"):
+                parse_one_point(text)
+
 
 class TestTextForm:
     def test_round_trip_examples(self):

@@ -11,7 +11,8 @@ from twoshift.spaces import (_finite_word_ok, blocks, classify, contains,
                              inf_infinite, inf_nonempty, is_minimal,
                              make_spec, minimalize, ray_in_language,
                              spec_from_json, spec_to_json, word_in_language)
-from twoshift.words import EMPTY, STAR, canonicalize_ray, parse_ray
+from twoshift.words import (EMPTY, STAR, LeftRay, canonicalize_ray,
+                            parse_ray)
 
 from conftest import (naive_window_scan, random_infinite, random_pattern,
                       random_ray, random_word)
@@ -278,6 +279,94 @@ class TestComparison:
         assert not eq
         assert ray_in_language(make_spec(), witness)
         assert not ray_in_language(make_spec(allow_tails=["1"]), witness)
+
+    def test_difference_beyond_the_budget(self):
+        assert equal_spaces(make_spec(), make_spec(forbid_words=["0123"]),
+                            1, 4) == (False, (0, 1, 2, 3))
+
+    def test_tail_covered_one_way_only(self):
+        # (1)^- forbids every point (1)^- 2 does, and more besides.
+        a = make_spec(forbid_tails=["(1)^- 2"])
+        b = make_spec(forbid_tails=["(1)^-"])
+        for x, y in ((a, b), (b, a)):
+            assert equal_spaces(x, y, 3, 4) == (False, parse_ray("(1)^-"))
+
+    def test_exact_rule_against_budgeted_scan(self):
+        rng = random.Random(17)
+        verdicts = {}
+        for i in range(120):
+            kind = ("infinite", "finite", "tails")[i % 3]
+            a, b = random_equality_pair(rng, kind)
+            eq, witness = equal_spaces(a, b, 3, 4)
+            if eq:
+                assert budget_difference(a, b) is None, (a, b)
+            elif isinstance(witness, LeftRay):
+                assert ray_in_language(a, witness) != \
+                    ray_in_language(b, witness), (a, b, witness)
+            else:
+                assert word_in_language(a, witness) != \
+                    word_in_language(b, witness), (a, b, witness)
+            verdicts.setdefault(kind, set()).add(eq)
+        assert verdicts == {k: {True, False}
+                            for k in ("infinite", "finite", "tails")}
+
+
+def budget_difference(a, b, letters=range(4), n=3, plen=2, tlen=2):
+    """A word of length at most n, or a ray with period at most plen and
+    transient at most tlen, over the letters, on which a and b disagree;
+    None when there is none."""
+    for k in range(1, n + 1):
+        for w in itertools.product(letters, repeat=k):
+            if word_in_language(a, w) != word_in_language(b, w):
+                return w
+    for p, t in itertools.product(range(1, plen + 1), range(tlen + 1)):
+        for per in itertools.product(letters, repeat=p):
+            for tr in itertools.product(letters, repeat=t):
+                ray = canonicalize_ray(per, tr, 0)
+                if ray_in_language(a, ray) != ray_in_language(b, ray):
+                    return ray
+    return None
+
+
+def random_equality_pair(rng: random.Random, kind: str):
+    """Two specs over letters < 3 that are often, but not always, equal.
+
+    ``infinite``: patterns on the infinite alphabet, the second spec
+    altered by a redundant extension, a wildcard specialised to every
+    mentioned letter, or a pattern dropped.  ``finite``: the same patterns
+    over finite alphabets, or one side on the infinite alphabet.
+    ``tails``: equal patterns with tails drawn from two random rays and
+    their one-letter extensions (covered by the ray); some are dead.
+    """
+    pats = [random_pattern(rng, 3, 3, 0.3) for _ in range(rng.randint(1, 3))]
+    other = list(pats)
+    if kind == "finite":
+        a_alpha, b_alpha = (rng.choice([None, range(2), range(3)])
+                            for _ in range(2))
+        return (make_spec(forbid_words=pats, alphabet=a_alpha),
+                make_spec(forbid_words=other, alphabet=b_alpha))
+    if kind == "infinite":
+        p = rng.choice(pats)
+        roll = rng.random()
+        if roll < 0.3:
+            other.append(p + (rng.choice([0, 1, 2, STAR]),))
+        elif roll < 0.6 and STAR in p:
+            i = p.index(STAR)
+            other.remove(p)
+            other += [p[:i] + (c,) + p[i + 1:]
+                      for c in sorted(make_spec(forbid_words=pats).mentioned)]
+        elif len(pats) > 1:
+            other.remove(p)
+        return make_spec(forbid_words=pats), make_spec(forbid_words=other)
+    pool = []
+    for _ in range(2):
+        r = random_ray(rng, 3)
+        r = canonicalize_ray(r.period[:2], r.transient[:1], 0)
+        pool += [r, canonicalize_ray(r.period,
+                                     r.transient + (rng.randrange(3),), 0)]
+    tails = [rng.sample(pool, rng.randint(0, 2)) for _ in range(2)]
+    return (make_spec(forbid_words=pats, forbid_tails=tails[0]),
+            make_spec(forbid_words=other, forbid_tails=tails[1]))
 
 
 class TestSerialization:
