@@ -5,17 +5,17 @@ per labelled edge, so parallel edges count (with one-letter patterns every
 letter is a loop on the single state).
 
 :class:`StateGraph` presents the language of a pattern-only spec over a
-finite alphabet (Lind & Marcus §2.2-2.3).  Its states are the (big-1)-letter
-words, big the longest pattern length, and letter a labels an edge from s
-when no pattern occurs in s + a.  Every window a pattern can see lies in
-one edge, so the pattern-free sequences are the labels of walks.
+finite alphabet (Lind & Marcus §2.2-2.3) by its prefix automaton (Aho &
+Corasick 1975): a state is the set of live partial matches, the start is
+the empty set, and letter a labels an edge when it completes no pattern.
+After big-1 letters, big the longest pattern length, a state depends only
+on them, so walks still match pattern-free sequences one to one, and the
+size follows the patterns rather than |A|^(big-1).
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .words import rotations
+from .words import pattern_matches, rotations
 
 
 def reverse(succ: dict) -> dict:
@@ -61,20 +61,39 @@ def branches(live, succ: dict) -> bool:
 
 
 class StateGraph:
-    """The graph of a pattern set over a finite alphabet, built once.
+    """The prefix automaton of a pattern set over a finite alphabet, built
+    once in bit-parallel form (Shift-And; Baeza-Yates & Gonnet 1992): a
+    state has one bit per pattern cell matching the last letters read, and
+    letter a leads to ``((s << 1) | starts) & match[a]`` unless that sets
+    a pattern's last bit.  The start state is 0.
 
     ``fwd`` holds the states that start an infinite walk, ``bwd`` those
     that end a left-infinite one (with an allowlist of tail periods: those
     reachable from an allowed period's cycle), and ``live = fwd & bwd``.
     """
 
-    def __init__(self, matcher, alphabet, big: int, allow=None) -> None:
-        self.n = big - 1
+    def __init__(self, patterns, alphabet, big: int, allow=None) -> None:
+        self.big = big
         self.allow = allow
-        self.delta = {s: {a: (s + (a,))[1:] for a in sorted(alphabet)
-                          if not matcher.occurs_in(s + (a,))}
-                      for s in itertools.product(sorted(alphabet),
-                                                 repeat=self.n)}
+        letters = sorted(alphabet)
+        cells = {}                    # each distinct cell -> its bits
+        starts, finals, bit = 0, 0, 1
+        for p in sorted(patterns, key=repr):
+            starts |= bit
+            for c in p:
+                cells[c] = cells.get(c, 0) | bit
+                bit <<= 1
+            finals |= bit >> 1
+        match = {a: sum(b for c, b in cells.items()
+                        if pattern_matches((c,), (a,))) for a in letters}
+        self.delta, todo = {}, [0]
+        while todo:
+            s = todo.pop()
+            if s not in self.delta:
+                grown = (s << 1) | starts
+                self.delta[s] = {a: t for a in letters
+                                 if not (t := grown & match[a]) & finals}
+                todo.extend(self.delta[s].values())
         self.succ = {s: list(d.values()) for s, d in self.delta.items()}
         self.fwd = trim(self.succ)
         self.bwd = trim(reverse(self.succ)) if allow is None else reach(
@@ -92,8 +111,8 @@ class StateGraph:
     def _cycle(self, period: tuple) -> list:
         """The states of period^inf, first the one a period ends in; empty
         when the cycle misses an edge."""
-        s = (period * self.n)[len(period) * self.n - self.n:]
-        if s not in self.delta or self.walk(s, period) != s:
+        s = self.walk(0, period * self.big)
+        if s is None or self.walk(s, period) != s:
             return []
         return [self.walk(s, period[:i]) for i in range(len(period))]
 
@@ -109,13 +128,9 @@ class StateGraph:
         return bool(cycle) and self.walk(cycle[0], transient) in self.fwd
 
     def one_word(self, w: tuple) -> bool:
-        """Is w a block of the one-sided space?  Dropping a prefix keeps a
-        one-sided point valid, so w must start a point: it is pattern-free
-        and some fwd state ends w or starts with it."""
-        if len(w) < self.n:
-            return any(t[:len(w)] == w for t in self.fwd)
-        s = w[:self.n]
-        return s in self.delta and self.walk(s, w[self.n:]) in self.fwd
+        """Is w a block of the one-sided space?  A one-sided point has no
+        past, so w must label a walk from the start into fwd."""
+        return self.walk(0, w) in self.fwd
 
     def nonempty(self) -> bool:
         return bool(self.live)

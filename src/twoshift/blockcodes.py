@@ -21,8 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import (AlphabetMismatch, NotShiftInvariantEmptyClass,
-                     ParseError, ShiftError)
+from .errors import NotShiftInvariantEmptyClass, ParseError, ShiftError
 from .points import (BiPoint, Empty, EMPTY_POINT, Finite, Infinite,
                      constant_point, make_infinite)
 from .words import (ANY, EMPTY, canonicalize_ray, parse_letters,
@@ -294,22 +293,8 @@ def sbc_apply(code: SlidingBlockCode, x: BiPoint) -> BiPoint:
     return Finite(canonicalize_ray(pl, mids, b))
 
 
-def sbc_compose(f: SlidingBlockCode, g: SlidingBlockCode,
-                check_alphabets: bool = False) -> SlidingBlockCode:
-    """The code x -> f(g(x)); memory and anticipation add.
-
-    With ``check_alphabets`` the letters g can emit must be letters f's
-    clauses mention, a coarse compatibility guard.
-    """
-    if check_alphabets:
-        emitted = {out[1] for _, out in (g.clauses or ())
-                   if out[0] == LETTER}
-        if g.default and g.default[0] == LETTER:
-            emitted.add(g.default[1])
-        if emitted and not emitted <= f.mentioned:
-            raise AlphabetMismatch(
-                "letters %s emitted by the inner code are unknown to the "
-                "outer code" % sorted(emitted - f.mentioned))
+def sbc_compose(f: SlidingBlockCode, g: SlidingBlockCode) -> SlidingBlockCode:
+    """The code x -> f(g(x)); memory and anticipation add."""
     k = f.memory + g.memory
     l = f.anticipation + g.anticipation
     wg = g.width

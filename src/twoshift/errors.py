@@ -45,10 +45,6 @@ class NotMinimal(ShiftError):
     """The operation requires a minimal forbidden specification."""
 
 
-class AlphabetMismatch(ShiftError):
-    """Two sliding block codes cannot be composed."""
-
-
 class NotShiftInvariantEmptyClass(ShiftError):
     """A local rule's empty-output class is not closed under the shift."""
 

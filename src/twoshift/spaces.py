@@ -98,7 +98,7 @@ class ForbiddenSpec:
         if self.rays:
             raise FiniteAlphabetTails(
                 "forbidden tails over a finite alphabet are not supported")
-        return StateGraph(self.matcher, self.alphabet, self.max_pattern_len,
+        return StateGraph(self.patterns, self.alphabet, self.max_pattern_len,
                           self.allow)
 
 

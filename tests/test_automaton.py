@@ -177,6 +177,16 @@ class TestCycleSpecs:
                 assert word_in_language(spec, w) == lang.word(w), (k, w)
 
 
+class TestGraphSize:
+    def test_states_follow_the_patterns_not_the_alphabet(self):
+        # On (big-1)-letter words these would be 8^5, 9^5 and 8^7 states.
+        for pats, k, most in ((["012345"], 8, 6),
+                              (["1****2", "3***4*", "5**6", "7*8"], 9, 660),
+                              (["01234567"], 8, 8)):
+            spec = make_spec(forbid_words=pats, alphabet=range(k))
+            assert len(spec.graph.succ) <= most, (pats, k)
+
+
 class TestAllowlists:
     def test_allowed_period_of_a_forbidden_letter_leaves_nothing(self):
         spec = make_spec(forbid_words=["1"], allow_tails=["1"],
@@ -232,6 +242,38 @@ class TestAgainstOracle:
                 ray = canonicalize_ray(
                     [rng.randrange(k + 1) for _ in range(rng.randint(1, 3))],
                     [rng.randrange(k) for _ in range(rng.randint(0, 2))])
+                assert ray_in_language(spec, ray) == lang.ray(
+                    ray.period, ray.transient, spec.allow), (spec, ray)
+            assert inf_nonempty(spec) == lang.word(()), spec
+            assert inf_infinite(spec) == lang.infinite(lang.word), spec
+
+    def test_long_overlapping_patterns(self):
+        # Patterns up to length 5 over two letters overlap themselves and
+        # each other, so several partial matches are live at once.
+        rng = random.Random(65)
+        for _ in range(20):
+            pats = [random_pattern(rng, 5, 2, 0.2)
+                    for _ in range(rng.randint(1, 3))]
+            allow = None
+            if rng.random() < 0.3:
+                allow = [tuple(rng.randrange(2)
+                               for _ in range(rng.randint(1, 3)))
+                         for _ in range(rng.randint(1, 2))]
+            spec = make_spec(forbid_words=pats, allow_tails=allow,
+                             alphabet=range(2))
+            lang = DeBruijnOracle(spec.patterns, spec.alphabet, spec.allow)
+            one = OneSpec(spec.patterns, spec.alphabet)
+            one_lang = DeBruijnOracle(spec.patterns, spec.alphabet)
+            for n in range(6):
+                for w in itertools.product(range(2), repeat=n):
+                    assert word_in_language(spec, w) == lang.word(w), \
+                        (spec, w)
+                    assert one_word_in_language(one, w) == \
+                        one_lang.one_word(w), (one, w)
+            for _ in range(12):
+                ray = canonicalize_ray(
+                    [rng.randrange(2) for _ in range(rng.randint(1, 3))],
+                    [rng.randrange(2) for _ in range(rng.randint(0, 3))])
                 assert ray_in_language(spec, ray) == lang.ray(
                     ray.period, ray.transient, spec.allow), (spec, ray)
             assert inf_nonempty(spec) == lang.word(()), spec
