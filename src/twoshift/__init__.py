@@ -1,30 +1,4 @@
 """Exact toolkit for two-sided shift spaces over countably infinite
-alphabets, restricted to eventually periodic, finitely specified objects."""
-
-from .words import (EMPTY, STAR, LeftRay, canonicalize_ray, parse_pattern,
-                    parse_ray, ray_append, ray_equals_pattern_tail,
-                    ray_subword_occurrences, ray_tail)
-from .points import (BiPoint, Empty, EMPTY_POINT, Finite, Infinite, OnePoint,
-                     constant_point, finite_point, format_point,
-                     make_infinite, make_one_infinite, one_finite,
-                     parse_one_point, parse_point)
-from .topology import (BasicOpen, CoUnion, Cylinder, basic_contains,
-                       co_union, cyl_contains, cyl_intersect,
-                       escapes_cylinders, nbhd_basis, parse_basic_open,
-                       parse_cylinder)
-from .spaces import (Classification, ForbiddenSpec, blocks, classify,
-                     contains, equal_spaces, follower_set, has_iep,
-                     is_minimal, make_spec, minimalize, spec_from_json,
-                     spec_to_json)
-from .blockcodes import (FinitelyDefinedSet, PseudoCylinder,
-                         SlidingBlockCode, check_continuity_sufficient,
-                         code_from_json, fds_combine, fds_contains,
-                         fds_equal, fds_from_pseudo, pseudo_contains,
-                         pseudo_intersect, sbc_apply, sbc_build, sbc_compose)
-from .higherblock import (Graph, HigherBlockSpec, decode_block, edge_space,
-                          encode_block, graph_to_dot, hb_blocks, hb_classify,
-                          hb_contains, hb_decode, hb_encode, hb_spec,
-                          to_edge_shift)
-from .bridge import (OneSpec, embed_in_cylinder, embed_inverse, lift_space,
-                     one_blocks, one_contains, p_inverse, project,
-                     project_space)
+alphabets, restricted to eventually periodic, finitely specified objects.
+The root exports nothing, so ``import twoshift`` loads no submodule:
+import from the submodules (``twoshift.points``, ``twoshift.spaces``, ...)."""

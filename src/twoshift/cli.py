@@ -3,7 +3,8 @@
 Verbs map one-to-one onto library operation families; all set-valued
 output is sorted before emission so reports are byte-identical across
 runs.  Exit codes: 0 success (or true verdict), 1 false verdict or witness
-produced, 2 input error.
+produced, 2 input error or out of memory.  Each verb imports the modules
+it runs inside its ``cmd_*``, so a cold start loads no others.
 """
 
 from __future__ import annotations
@@ -12,15 +13,12 @@ import argparse
 import json
 import sys
 
-from . import blockcodes, bridge, higherblock, spaces
 from .errors import ParseError, ShiftError
-from .points import format_point, parse_point
-from .spaces import spec_from_json, spec_to_json
-from .words import EMPTY, format_letters
 
 
 def _load_spec(path: str, recoded: bool = False):
     """A spec file; ``recoded`` admits a recoded spec (with ``overlap_m``)."""
+    from .spaces import spec_from_json
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "overlap_m" in data:
@@ -28,15 +26,17 @@ def _load_spec(path: str, recoded: bool = False):
             raise ParseError("this verb does not take a recoded spec")
         if type(data["overlap_m"]) is not int:
             raise ParseError("overlap_m must be an integer")
+        from .higherblock import hb_spec
         base = spec_from_json({k: v for k, v in data.items()
                                if k != "overlap_m"})
-        return higherblock.hb_spec(data["overlap_m"], base)
+        return hb_spec(data["overlap_m"], base)
     return spec_from_json(data)
 
 
 def _load_code(path: str):
+    from .blockcodes import code_from_json
     with open(path) as fh:
-        return blockcodes.code_from_json(json.load(fh))
+        return code_from_json(json.load(fh))
 
 
 def _emit_json(obj) -> None:
@@ -44,6 +44,8 @@ def _emit_json(obj) -> None:
 
 
 def cmd_point_eval(args) -> int:
+    from .points import format_point, parse_point
+    from .words import EMPTY, format_letters
     x = parse_point(args.point)
     if args.shift is not None:
         x = x.shift(args.shift)
@@ -68,22 +70,28 @@ def cmd_point_eval(args) -> int:
 
 
 def cmd_space_check(args) -> int:
+    from . import spaces
+    from .points import parse_point
     spec = _load_spec(args.spec, recoded=True)
     x = parse_point(args.point)
-    if isinstance(spec, higherblock.HigherBlockSpec):
-        member = higherblock.hb_contains(spec, x)
-    else:
+    if isinstance(spec, spaces.ForbiddenSpec):
         member = spaces.contains(spec, x)
+    else:
+        from .higherblock import hb_contains
+        member = hb_contains(spec, x)
     print("member" if member else "not a member")
     return 0 if member else 1
 
 
 def cmd_space_blocks(args) -> int:
+    from . import spaces
+    from .words import EMPTY, format_letters
     spec = _load_spec(args.spec, recoded=True)
-    if isinstance(spec, higherblock.HigherBlockSpec):
-        bl = higherblock.hb_blocks(spec, args.n, args.cutoff)
-    else:
+    if isinstance(spec, spaces.ForbiddenSpec):
         bl = spaces.blocks(spec, args.n, args.cutoff)
+    else:
+        from .higherblock import hb_blocks
+        bl = hb_blocks(spec, args.n, args.cutoff)
     for w in sorted(bl, key=lambda w: tuple(
             (1, 0) if c is EMPTY else (0, c) for c in w)):
         print(format_letters(w))
@@ -91,18 +99,21 @@ def cmd_space_blocks(args) -> int:
 
 
 def cmd_space_minimalize(args) -> int:
+    from .spaces import minimalize, spec_to_json
     spec = _load_spec(args.spec)
-    out = spaces.minimalize(spec)
+    out = minimalize(spec)
     _emit_json(spec_to_json(out))
     return 0
 
 
 def cmd_space_classify(args) -> int:
+    from . import spaces
     spec = _load_spec(args.spec, recoded=True)
-    if isinstance(spec, higherblock.HigherBlockSpec):
-        c = higherblock.hb_classify(spec)
-    else:
+    if isinstance(spec, spaces.ForbiddenSpec):
         c = spaces.classify(spec)
+    else:
+        from .higherblock import hb_classify
+        c = hb_classify(spec)
     report = {"row_finite": c.row_finite, "column_finite": c.column_finite,
               "m_step": c.m_step, "finite_type": c.finite_type}
     if args.json:
@@ -114,9 +125,11 @@ def cmd_space_classify(args) -> int:
 
 
 def cmd_space_equal(args) -> int:
+    from .spaces import equal_spaces
+    from .words import format_letters
     a = _load_spec(args.spec)
     b = _load_spec(args.other)
-    equal, witness = spaces.equal_spaces(a, b, args.n_budget, args.cutoff)
+    equal, witness = equal_spaces(a, b, args.n_budget, args.cutoff)
     if equal:
         print("equal up to budget %d" % args.n_budget)
         return 0
@@ -126,15 +139,18 @@ def cmd_space_equal(args) -> int:
 
 
 def cmd_code_apply(args) -> int:
+    from .blockcodes import sbc_apply
+    from .points import format_point, parse_point
     code = _load_code(args.rule)
     x = parse_point(args.point)
-    print(format_point(blockcodes.sbc_apply(code, x)))
+    print(format_point(sbc_apply(code, x)))
     return 0
 
 
 def cmd_code_check(args) -> int:
+    from .blockcodes import check_continuity_sufficient
     code = _load_code(args.rule)
-    report = blockcodes.check_continuity_sufficient(code)
+    report = check_continuity_sufficient(code)
     if report.passes:
         print("passes: single pseudo cylinder per letter class")
         return 0
@@ -143,6 +159,8 @@ def cmd_code_check(args) -> int:
 
 
 def cmd_recode(args) -> int:
+    from . import higherblock
+    from .points import format_point, parse_point
     spec = _load_spec(args.spec) if args.spec else None
     if args.point is not None:
         x = parse_point(args.point)
@@ -158,12 +176,14 @@ def cmd_recode(args) -> int:
 
 
 def cmd_edge_build(args) -> int:
+    from .higherblock import graph_to_dot, to_edge_shift
+    from .words import format_letters
     spec = _load_spec(args.spec)
-    graph, derived = higherblock.to_edge_shift(spec, args.cutoff)
+    graph, derived = to_edge_shift(spec, args.cutoff)
     if args.m is not None and graph.m != args.m:
         raise ShiftError("spec is %d-step, not %d-step" % (graph.m, args.m))
     if args.dot:
-        sys.stdout.write(higherblock.graph_to_dot(graph))
+        sys.stdout.write(graph_to_dot(graph))
         return 0
     print("vertices: %s" % ", ".join(
         format_letters(v) if v else "()" for v in graph.vertices))
@@ -175,6 +195,9 @@ def cmd_edge_build(args) -> int:
 
 
 def cmd_bridge_project(args) -> int:
+    from . import bridge
+    from .points import parse_point
+    from .words import format_letters
     if args.point is not None:
         res = bridge.project(parse_point(args.point))
         print(str(res.point))
@@ -192,10 +215,12 @@ def cmd_bridge_project(args) -> int:
 
 
 def cmd_bridge_lift(args) -> int:
+    from .bridge import OneSpec, lift_space
+    from .spaces import spec_from_json, spec_to_json
     with open(args.spec) as fh:
         spec = spec_from_json(json.load(fh))
-    one = bridge.OneSpec(spec.patterns, spec.alphabet)
-    lifted = bridge.lift_space(one)
+    one = OneSpec(spec.patterns, spec.alphabet)
+    lifted = lift_space(one)
     out = spec_to_json(lifted.two)
     out["case"] = lifted.case
     _emit_json(out)
@@ -290,6 +315,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ShiftError, OSError, ValueError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -155,15 +155,11 @@ class Infinite(BiPoint):
 
     def tail_ray(self, k: int) -> LeftRay:
         s = self.body_start
-        hi = s + len(self.body) - 1
-        if k <= hi:
-            d = hi - k
-            trans = self.body[: len(self.body) - d] if d <= len(self.body) else ()
-            if d >= len(self.body):
-                return ray_tail(canonicalize_ray(self.left_period, (), s - 1), k)
-            return canonicalize_ray(self.left_period, trans, k)
-        extra = tuple(self[hi + 1 + j] for j in range(k - hi))
-        return canonicalize_ray(self.left_period, self.body + extra, k)
+        if k < s:
+            return ray_tail(canonicalize_ray(self.left_period, (), s - 1), k)
+        run = _cycle(self.right_period, 0, k + 1 - s - len(self.body))
+        return canonicalize_ray(self.left_period,
+                                self.body[: k + 1 - s] + run, k)
 
     def letters(self) -> frozenset:
         return frozenset(self.left_period) | frozenset(self.body) | frozenset(self.right_period)

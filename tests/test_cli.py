@@ -1,5 +1,9 @@
 import json
 import os
+import resource
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -8,6 +12,15 @@ from twoshift.cli import main
 
 HERE = os.path.dirname(__file__)
 FIX = os.path.join(HERE, "fixtures")
+SRC = os.path.join(HERE, os.pardir, "src")
+
+
+def fresh_python(args, **kwargs):
+    """Run a new interpreter on ``args`` with this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, timeout=60,
+                          **kwargs)
 
 
 def fixture(name: str) -> str:
@@ -182,6 +195,49 @@ class TestErrorHandling:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_tail_too_large_for_memory_is_a_one_line_error(self):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        t0 = time.monotonic()
+        proc = fresh_python(["-m", "twoshift.cli", "point-eval",
+                             "(0)^-.(1)^+", "--tail", "99999999"],
+                            preexec_fn=cap)
+        assert time.monotonic() - t0 < 5
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: out of memory\n"
+
+
+# Each verb family runs in a fresh interpreter, which then lists the package
+# modules it loaded: first after a bare ``import twoshift``, then after the
+# verb.  A module a verb does not run costs every cold start its load time.
+_LOADED = """
+import contextlib, io, json, sys
+import twoshift
+bare = sorted(m for m in sys.modules if m.startswith("twoshift."))
+from twoshift import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([bare, code, sorted(m.split(".")[1] for m in sys.modules
+                                     if m.startswith("twoshift."))]))
+"""
+_POINT = ["cli", "errors", "words", "points"]
+_SPACE = _POINT + ["automaton", "spaces"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["point-eval", "(0)^- . (1)^+", "--tail", "2"], _POINT),
+    (["code-apply", fixture("shift.json"), "--point", "(0)^- 1 2 @2 #"],
+     _POINT + ["blockcodes"]),
+    (["space-check", fixture("goldenmean.json"), "--point", "@"], _SPACE),
+    (["bridge-project", fixture("goldenmean.json")], _SPACE + ["bridge"]),
+    (["edge-build", fixture("goldenmean.json"), "-M", "1"],
+     _SPACE + ["blockcodes", "higherblock"]),
+])
+def test_each_verb_loads_only_its_modules(argv, modules):
+    proc = fresh_python(["-c", _LOADED] + argv)
+    assert json.loads(proc.stdout) == [[], 0, sorted(modules)]
 
 
 # JSON values biased toward the keys the spec and rule readers look up.

@@ -29,8 +29,6 @@ def _imported(tree: ast.AST):
 def test_every_import_is_used():
     unused = []
     for name, tree in TREES.items():
-        if name == "__init__.py":  # re-exports
-            continue
         used = _names_used(tree)
         unused += ["%s: %s" % (name, imp) for imp in _imported(tree)
                    if imp not in used]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_point
+from conftest import random_infinite, random_point
 from twoshift.errors import BadRange, NoRay, ParseError, ShiftError
 from twoshift.points import (EMPTY_POINT, ONE_EMPTY, Empty, Finite, Infinite,
                              constant_point, finite_point, format_one_point,
@@ -103,6 +103,17 @@ class TestInfinitePoint:
         m = s + len(b) + d
         tail = x.tail_ray(m)
         assert [tail[i] for i in range(m - 12, m + 1)] == window(x, m - 12, m)
+
+    def test_tail_is_the_canonical_cell_by_cell_ray(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            x = random_infinite(rng)
+            p, s = x.left_period, x.body_start
+            # cells below lo are whole copies of the left period
+            lo = s - len(p) * (abs(s) + 41)
+            for k in range(-10, 41):
+                cells = tuple(x[i] for i in range(lo, k + 1))
+                assert x.tail_ray(k) == canonicalize_ray(p, cells, k)
 
     def test_window_rejects_bad_range(self):
         with pytest.raises(BadRange):
