@@ -243,23 +243,25 @@ def _check_empty_class(code: SlidingBlockCode) -> None:
 
 
 def sbc_apply(code: SlidingBlockCode, x: BiPoint) -> BiPoint:
-    """Apply the code: (Φx)_n = rule(x_{n-k} ... x_{n+l})."""
-    k, l = code.memory, code.anticipation
+    """Apply the code: (Φx)_n = rule(x_{n-k} ... x_{n+l}), all n read
+    from one window of x."""
+    k, l, w = code.memory, code.anticipation, code.width
 
-    def out(n: int):
-        return code.rule(x.window(n - k, n + l))
+    def outs(cells: tuple) -> tuple:
+        return tuple(code.rule(cells[i: i + w])
+                     for i in range(len(cells) - w + 1))
 
     if isinstance(x, Empty):
-        o = out(0)
+        o = code.rule((EMPTY,) * w)
         return EMPTY_POINT if o is EMPTY else constant_point(o)
 
     if isinstance(x, Infinite):
         p, q = x.left_period, x.right_period
         a = x.body_start - l - len(p)
         b = x.body_start + len(x.body) + k + len(q)
-        pl = tuple(out(n) for n in range(a - len(p), a))
-        pr = tuple(out(n) for n in range(b + 1, b + len(q) + 1))
-        mids = tuple(out(n) for n in range(a, b + 1))
+        out = outs(x.window(a - len(p) - k, b + len(q) + l))
+        pl, mids = out[:len(p)], out[len(p): len(out) - len(q)]
+        pr = out[len(out) - len(q):]
         if EMPTY in pl:
             return EMPTY_POINT
         if EMPTY in pr:
@@ -275,9 +277,9 @@ def sbc_apply(code: SlidingBlockCode, x: BiPoint) -> BiPoint:
     kx = ray.end_index
     a = kx - len(ray.transient) - l - len(ray.period)
     b = kx + k
-    pl = tuple(out(n) for n in range(a - len(ray.period), a))
-    mids = tuple(out(n) for n in range(a, b + 1))
-    oe = out(b + l + 2)  # far right: the all-empty window
+    out = outs(x.window(a - len(ray.period) - k, b + l))
+    pl, mids = out[:len(ray.period)], out[len(ray.period):]
+    oe = code.rule((EMPTY,) * w)  # far right: the all-empty window
     if oe is not EMPTY:
         if EMPTY in pl or EMPTY in mids:
             raise NotShiftInvariantEmptyClass(

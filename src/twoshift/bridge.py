@@ -92,9 +92,8 @@ def _restrict(x: BiPoint, l: int) -> OnePoint:
         k = x.ray.end_index
         return one_finite(x.window(l + 1, k)) if k > l else ONE_EMPTY
     hi = max(x.body_start + len(x.body) - 1, l)
-    transient = tuple(x[i] for i in range(l + 1, hi + 1))
-    period = tuple(x[hi + 1 + j] for j in range(len(x.right_period)))
-    return make_one_infinite(transient, period)
+    cells = x.window(l + 1, hi + len(x.right_period))
+    return make_one_infinite(cells[:hi - l], cells[hi - l:])
 
 
 def project(x: BiPoint) -> ProjectionResult:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .automaton import branches, reach, reverse, trim
 from .errors import InconsistentOverlaps, NotFiniteStep
@@ -50,6 +51,7 @@ def decode_block(code: int, m: int) -> tuple:
     return tuple(reversed(out))
 
 
+@lru_cache(maxsize=None)
 def _encode_code(m: int) -> SlidingBlockCode:
     def rule(win: tuple):
         if win[-1] is EMPTY:
@@ -57,6 +59,15 @@ def _encode_code(m: int) -> SlidingBlockCode:
         return encode_block(win)
 
     return SlidingBlockCode(m - 1, 0, rule, None, None, frozenset())
+
+
+@lru_cache(maxsize=None)
+def _decode_code(m: int) -> SlidingBlockCode:
+    def rule(win: tuple):  # the last letter of the block
+        c = win[0]
+        return c if m == 1 or c is EMPTY else cantor_unpair(c)[1]
+
+    return SlidingBlockCode(0, 0, rule, None, None, frozenset())
 
 
 def hb_encode(m: int, x: BiPoint) -> BiPoint:
@@ -75,11 +86,9 @@ def _check_overlaps(m: int, y: BiPoint) -> None:
     else:
         hi = y.ray.end_index
         lo = hi - len(y.ray.transient) - 2 * len(y.ray.period) - 1
-    for i in range(lo, hi):
-        a, b = y[i], y[i + 1]
-        if a is EMPTY or b is EMPTY:
-            continue
-        if decode_block(a, m)[1:] != decode_block(b, m)[:-1]:
+    blocks = [decode_block(c, m) for c in y.window(lo, hi)]  # no ø up to hi
+    for i, (a, b) in enumerate(zip(blocks, blocks[1:]), lo):
+        if a[1:] != b[:-1]:
             raise InconsistentOverlaps(
                 "blocks at %d and %d do not overlap" % (i, i + 1))
 
@@ -89,13 +98,7 @@ def hb_decode(m: int, y: BiPoint) -> BiPoint:
     if m < 1:
         raise ValueError("block order must be at least 1")
     _check_overlaps(m, y)
-
-    def rule(win: tuple):
-        if win[0] is EMPTY:
-            return EMPTY
-        return decode_block(win[0], m)[-1]
-
-    return sbc_apply(SlidingBlockCode(0, 0, rule, None, None, frozenset()), y)
+    return sbc_apply(_decode_code(m), y)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +270,12 @@ class EdgeSpace:
         if isinstance(x, Infinite):
             lo = x.body_start - len(x.left_period) - 1
             hi = x.body_start + len(x.body) + len(x.right_period) + 1
-            walk = [self._codes.get(x[i]) for i in range(lo, hi + 1)]
+            walk = [self._codes.get(c) for c in x.window(lo, hi)]
             return all(e is not None for e in walk) and self._walk_ok(walk)
         ray = x.ray
         k = ray.end_index
         lo = k - len(ray.transient) - 2 * len(ray.period)
-        walk = [self._codes.get(ray[i]) for i in range(lo, k + 1)]
+        walk = [self._codes.get(c) for c in ray.expand(k - lo + 1)]
         if any(e is None for e in walk) or not self._walk_ok(walk):
             return False
         return (walk[-1][1:] in self.g.infinite_emitters

@@ -385,7 +385,7 @@ def format_point(x: BiPoint) -> str:
     if not isinstance(x, Infinite):
         raise ShiftError("cannot format %s as a point" % type(x).__name__)
     hi = max(x.body_start + len(x.body) - 1, 0)
-    q = tuple(x[hi + 1 + i] for i in range(len(x.right_period)))
+    q = x.window(hi + 1, hi + len(x.right_period))
     return _format_around_zero(x, min(x.body_start, 1), hi, len(x.left_period),
                                "(%s)^+" % format_letters(q))
 
@@ -395,9 +395,8 @@ def _format_around_zero(x: BiPoint, lo: int, hi: int, n: int,
     """``(p)^- u . v`` and then ``right``: u is x_lo..x_0, v is x_1..x_hi,
     and p the n cells before lo, so the period is read in the phase next
     to u."""
-    u = x.window(lo, 0) if lo <= 0 else ()
-    v = x.window(1, hi) if hi >= 1 else ()
-    p = tuple(x[lo - n + i] for i in range(n))
+    cells = x.window(lo - n, hi)
+    p, u, v = cells[:n], cells[n: n + 1 - lo], cells[n + 1 - lo:]
     return "(%s)^- %s. %s%s" % (
         format_letters(p),
         (format_letters(u) + " ") if u else "",

@@ -436,11 +436,12 @@ def _pattern_occurs_in(small: tuple, big_pat: tuple) -> bool:
                for o in range(len(big_pat) - n + 1))
 
 
-def _ray_windows(spec: ForbiddenSpec, ray: LeftRay, max_len: int):
+def _ray_windows(ray: LeftRay, max_len: int):
     depth = len(ray.period) + len(ray.transient) + max_len
+    cells = ray.expand(depth + max_len - 1)
     for n in range(1, max_len + 1):
-        for j in range(ray.end_index, ray.end_index - depth, -1):
-            yield tuple(ray[j - n + 1 + i] for i in range(n))
+        for end in range(len(cells), len(cells) - depth, -1):
+            yield cells[end - n: end]
 
 
 def is_minimal(spec: ForbiddenSpec):
@@ -454,7 +455,7 @@ def is_minimal(spec: ForbiddenSpec):
     bound = spec.max_pattern_len + max(
         (len(r.period) + len(r.transient) for r in spec.rays), default=0)
     for r in sorted(spec.rays, key=lambda r: (r.period, r.transient)):
-        for w in _ray_windows(spec, r, bound):
+        for w in _ray_windows(r, bound):
             if not word_in_language(spec, w):
                 return False, (w, r)
     return True, None
@@ -484,7 +485,7 @@ def minimalize(spec: ForbiddenSpec) -> ForbiddenSpec:
     bound = big + max((len(r.period) + len(r.transient) for r in spec.rays),
                       default=0)
     for r in spec.rays:
-        for w in _ray_windows(spec, r, bound):
+        for w in _ray_windows(r, bound):
             candidates.add(w)
     bad = {c for c in candidates if _pattern_bad(spec, c)}
     minimal = set()

@@ -112,7 +112,9 @@ class LeftRay:
 
     def expand(self, depth: int) -> tuple:
         """The last ``depth`` entries, oldest first."""
-        return tuple(self[self.end_index - depth + 1 + j] for j in range(depth))
+        t, p = self.transient, self.period
+        reps = max(depth - len(t), 0) // len(p) + 1
+        return (p * reps + t)[len(p) * reps + len(t) - depth:]
 
     def letters(self) -> frozenset:
         return frozenset(self.period) | frozenset(self.transient)
@@ -273,33 +275,33 @@ def ray_subword_occurrences(ray: LeftRay, pattern: Pattern) -> OccurrenceSummary
     window lies entirely in the periodic part repeat with stride
     ``-len(period)`` and are reported as infinite families.
     """
-    n = len(pattern)
+    n, nt, np_ = len(pattern), len(ray.transient), len(ray.period)
     k = ray.end_index
-    t_lo = k - len(ray.transient)  # last purely periodic position
-    finite = []
-    for j in range(k, t_lo, -1):
-        if pattern_matches(pattern, tuple(ray[j - n + 1 + i] for i in range(n))):
-            finite.append(j)
-    families = []
-    for j in range(t_lo, t_lo - len(ray.period), -1):
-        if pattern_matches(pattern, tuple(ray[j - n + 1 + i] for i in range(n))):
-            families.append((j, -len(ray.period)))
-    return OccurrenceSummary(tuple(finite), tuple(families))
+    depth = nt + np_ + n - 1
+    cells = ray.expand(depth)  # the window ending at k - d ends at depth - d
+    hits = [d for d in range(nt + np_)
+            if pattern_matches(pattern, cells[depth - d - n: depth - d])]
+    return OccurrenceSummary(tuple(k - d for d in hits if d < nt),
+                             tuple((k - d, -np_) for d in hits if d >= nt))
 
 
 def ray_equals_pattern_tail(ray: LeftRay, forbidden: LeftRay) -> bool:
     """True iff ``forbidden`` denotes a tail of ``ray`` under some alignment.
 
     End indices are ignored: only the left-infinite letter sequences matter.
+    Both rays must be canonical (as :func:`canonicalize_ray` builds them):
+    their periods are then primitive, so a tail of ``ray`` equals
+    ``forbidden`` only when the periods have the same length p, and then
+    exactly when their last max(|ray.transient|, |forbidden.transient|) + p
+    cells agree.  The tails ending in the transient or in one period of
+    ``ray`` cover every tail.
     """
-    k = ray.end_index
-    lo = k - len(ray.transient) - len(ray.period) + 1
-    key = (forbidden.period, forbidden.transient)
-    for m in range(k, lo - 1, -1):
-        tail = ray_tail(ray, m)
-        if (tail.period, tail.transient) == key:
-            return True
-    return False
+    p, t = len(ray.period), len(ray.transient)
+    if len(forbidden.period) != p:
+        return False
+    n = max(t, len(forbidden.transient)) + p
+    cells, want = ray.expand(t + p - 1 + n), forbidden.expand(n)
+    return any(cells[d: d + n] == want for d in range(t + p))
 
 
 # ---------------------------------------------------------------------------

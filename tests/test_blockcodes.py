@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -8,7 +10,9 @@ from twoshift.blockcodes import (ANY, FinitelyDefinedSet, PseudoCylinder,
                                  pseudo_intersect, sbc_apply, sbc_build,
                                  sbc_compose)
 from twoshift.errors import NotShiftInvariantEmptyClass
-from twoshift.points import EMPTY_POINT, constant_point, parse_point
+from twoshift.higherblock import _decode_code, _encode_code
+from twoshift.points import (EMPTY_POINT, Finite, Infinite, constant_point,
+                             parse_point)
 from twoshift.words import EMPTY, STAR
 
 from conftest import random_point
@@ -177,3 +181,110 @@ class TestSerialization:
         for _ in range(40):
             x = random_point(rng, letters=4)
             assert sbc_apply(code, x) == sbc_apply(COLLAPSE, x)
+
+
+def _random_clause_code(rng: random.Random):
+    """A seeded clause code over letters 0..2, or None when its empty class
+    is not shift invariant."""
+    k, l = rng.randint(0, 2), rng.randint(0, 2)
+    width = k + l + 1
+
+    def output():
+        roll = rng.random()
+        if roll < 0.3:
+            return ("empty",)
+        if roll < 0.6:
+            return ("copy", rng.randint(-k, l))
+        return ("letter", rng.randrange(4))
+
+    clauses = [(tuple(rng.choice([0, 1, 2, STAR, EMPTY])
+                      for _ in range(width)), output())
+               for _ in range(rng.randint(0, 3))]
+    try:
+        return sbc_build(k, l, clauses, output())
+    except NotShiftInvariantEmptyClass:
+        return None
+
+
+def _span(x, margin: int) -> range:
+    """The indices where the point is not yet periodic, widened by two
+    periods on each side and then by ``margin``."""
+    if isinstance(x, Infinite):
+        lo, hi = x.body_start, x.body_start + len(x.body)
+        pad = 2 * (len(x.left_period) + len(x.right_period))
+    elif isinstance(x, Finite):
+        hi = x.ray.end_index
+        lo = hi - len(x.ray.transient)
+        pad = 2 * len(x.ray.period)
+    else:
+        lo = hi = pad = 0
+    return range(lo - pad - margin, hi + pad + margin + 1)
+
+
+class TestApplicationAgainstDefinition:
+    """(Φx)_n = rule(x_{n-k} ... x_{n+l}), read one window per index."""
+
+    def _check(self, code, x):
+        k, l = code.memory, code.anticipation
+        span = _span(x, k + l + 2)
+        want = [code.rule(x.window(n - k, n + l)) for n in span]
+        y = sbc_apply(code, x)
+        assert [y[n] for n in span] == want
+        return y
+
+    def _codes(self, rng, count):
+        out = []
+        while len(out) < count:
+            code = _random_clause_code(rng)
+            if code is not None:
+                out.append(code)
+        return out
+
+    def test_seeded_clause_codes(self):
+        rng = random.Random(301)
+        blanks = 0
+        for code in self._codes(rng, 60):
+            for _ in range(15):
+                y = self._check(code, random_point(rng, letters=3))
+                blanks += y.length() != float("inf")
+        # Some images are finite or empty, so ø outputs were exercised.
+        assert blanks > 50
+
+    def test_composed_codes(self):
+        rng = random.Random(302)
+        codes = self._codes(rng, 20)
+        for f, g in zip(codes[::2], codes[1::2]):
+            comp = sbc_compose(f, g)
+            for _ in range(15):
+                x = random_point(rng, letters=3)
+                assert self._check(comp, x) == sbc_apply(f, sbc_apply(g, x))
+
+    def test_fixture_rules(self):
+        here = os.path.join(os.path.dirname(__file__), "fixtures")
+        rng = random.Random(303)
+        for name in ("identity.json", "shift.json", "collapse.json"):
+            with open(os.path.join(here, name)) as fh:
+                code = code_from_json(json.load(fh))
+            for _ in range(40):
+                self._check(code, random_point(rng, letters=4))
+
+    def test_higher_block_codes(self):
+        rng = random.Random(304)
+        for m in (1, 2, 3):
+            for _ in range(40):
+                x = random_point(rng, letters=4)
+                y = self._check(_encode_code(m), x)
+                assert self._check(_decode_code(m), y) == x
+
+    def test_one_window_per_application(self, monkeypatch):
+        calls = []
+        for cls in (Infinite, Finite):
+            def counted(self, i, j, _orig=cls._cells):
+                calls.append((i, j))
+                return _orig(self, i, j)
+            monkeypatch.setattr(cls, "_cells", counted)
+        code = sbc_compose(COLLAPSE, SHIFT)
+        for text in ("(012)^- 3 4 . 5 (67)^+", "(01)^- 2 . 3 4 #"):
+            calls.clear()
+            sbc_apply(code, parse_point(text))
+            assert len(calls) == 1

@@ -2,13 +2,14 @@ import random
 
 import pytest
 from twoshift.errors import InconsistentOverlaps, NotFiniteStep
-from twoshift.higherblock import (EdgeSpace, Graph, cantor_pair,
-                                  cantor_unpair, decode_block, edge_space,
-                                  encode_block, graph_to_dot, hb_blocks,
-                                  hb_classify, hb_contains, hb_decode,
-                                  hb_encode, hb_spec, hb_spec_to_json,
-                                  to_edge_shift)
-from twoshift.points import EMPTY_POINT, parse_point
+from twoshift.higherblock import (EdgeSpace, Graph, _check_overlaps,
+                                  cantor_pair, cantor_unpair, decode_block,
+                                  edge_space, encode_block, graph_to_dot,
+                                  hb_blocks, hb_classify, hb_contains,
+                                  hb_decode, hb_encode, hb_spec,
+                                  hb_spec_to_json, to_edge_shift)
+from twoshift.points import (EMPTY_POINT, Infinite, finite_point,
+                             make_infinite, parse_point)
 from twoshift.spaces import blocks, classify, contains, make_spec
 from twoshift.words import EMPTY
 
@@ -60,6 +61,60 @@ class TestPointRecoding:
                                                encode_block((0, 0))))
         with pytest.raises(InconsistentOverlaps):
             hb_decode(2, bad)
+
+
+def overlap_error(m: int, y):
+    """Oracle: read y one index at a time and decode both neighbours at each
+    index; the message of the first mismatch, or None."""
+    if m == 1 or y == EMPTY_POINT:
+        return None
+    if isinstance(y, Infinite):
+        lo = y.body_start - 2 * len(y.left_period) - 1
+        hi = y.body_start + len(y.body) + 2 * len(y.right_period) + 1
+    else:
+        hi = y.ray.end_index
+        lo = hi - len(y.ray.transient) - 2 * len(y.ray.period) - 1
+    for i in range(lo, hi):
+        a, b = y[i], y[i + 1]
+        if a is EMPTY or b is EMPTY:
+            continue
+        if decode_block(a, m)[1:] != decode_block(b, m)[:-1]:
+            return "blocks at %d and %d do not overlap" % (i, i + 1)
+    return None
+
+
+class TestOverlapCheck:
+    def test_matches_per_index_decode(self):
+        rng = random.Random(45)
+        seen = set()
+        for _ in range(600):
+            m = rng.choice([1, 2, 3])
+            # Letters are codes of a few m-blocks over {0, 1}, so some
+            # points overlap consistently and most do not.
+            codes = [encode_block(tuple(rng.randrange(2) for _ in range(m)))
+                     for _ in range(3)]
+
+            def word(lo, hi):
+                return tuple(rng.choice(codes)
+                             for _ in range(rng.randint(lo, hi)))
+
+            roll = rng.random()
+            if roll < 0.2:
+                y = hb_encode(m, random_point(rng, letters=2))
+            elif roll < 0.6:
+                y = finite_point(word(1, 3), word(0, 4), rng.randint(-3, 3))
+            else:
+                y = make_infinite(word(1, 3), word(0, 4), word(1, 3),
+                                  rng.randint(-3, 3))
+            want = overlap_error(m, y)
+            seen.add(want is None)
+            if want is None:
+                _check_overlaps(m, y)
+            else:
+                with pytest.raises(InconsistentOverlaps) as err:
+                    _check_overlaps(m, y)
+                assert str(err.value) == want
+        assert seen == {True, False}
 
 
 class TestRecodedSpaces:

@@ -6,8 +6,8 @@ from twoshift.errors import (AllowlistUnsupported, CutoffTooSmall,
                              NotInLanguage)
 from twoshift.points import (EMPTY_POINT, constant_point, finite_point,
                              make_infinite, parse_point)
-from twoshift.spaces import (_finite_word_ok, blocks, classify, contains,
-                             equal_spaces, follower_set, has_iep,
+from twoshift.spaces import (_finite_word_ok, _ray_windows, blocks, classify,
+                             contains, equal_spaces, follower_set, has_iep,
                              inf_infinite, inf_nonempty, is_minimal,
                              make_spec, minimalize, ray_in_language,
                              spec_from_json, spec_to_json, word_in_language)
@@ -243,6 +243,20 @@ class TestMinimality:
         small = minimalize(spec)
         assert not ray_in_language(small, parse_ray("(1)^- @0"))
         assert ray_in_language(small, parse_ray("(01)^- @0"))
+
+    def test_ray_windows_in_scan_order(self):
+        # is_minimal reports the first missing window, so the order is
+        # part of the answer: by length, then from the ray's end leftwards.
+        rng = random.Random(209)
+        for _ in range(60):
+            ray = random_ray(rng)
+            big = rng.randint(1, 4)
+            depth = len(ray.period) + len(ray.transient) + big
+            k = ray.end_index
+            want = [tuple(ray[j - n + 1 + i] for i in range(n))
+                    for n in range(1, big + 1)
+                    for j in range(k, k - depth, -1)]
+            assert list(_ray_windows(ray, big)) == want
 
 
 class TestClassification:

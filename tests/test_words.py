@@ -92,6 +92,13 @@ class TestCanonicalRay:
         assert a == b
 
 
+class TestExpand:
+    @given(words, words, small_ints, st.integers(0, 20))
+    def test_matches_entrywise_read(self, p, t, k, depth):
+        ray = canonicalize_ray(p, t, k)
+        assert list(ray.expand(depth)) == expand(ray, k - depth + 1)
+
+
 class TestRayTail:
     @given(words, words, small_ints, small_ints)
     def test_tail_agrees_with_parent(self, p, t, k, d):
@@ -150,6 +157,58 @@ class TestTailEquality:
                 expected_any = True
                 break
         assert ray_equals_pattern_tail(ray, forb) == expected_any
+
+
+def tail_scan(ray: LeftRay, forbidden: LeftRay) -> bool:
+    """Oracle: canonicalize the tail of ``ray`` ending at each index of its
+    transient and of one period before it, and compare each with
+    ``forbidden``; every other tail repeats one of these."""
+    k = ray.end_index
+    lo = k - len(ray.transient) - len(ray.period) + 1
+    key = (forbidden.period, forbidden.transient)
+    return any((tail.period, tail.transient) == key
+               for tail in (ray_tail(ray, m) for m in range(k, lo - 1, -1)))
+
+
+class TestTailScanOracle:
+    def _ray(self, rng, letters):
+        p = tuple(rng.randrange(letters) for _ in range(rng.randint(1, 4)))
+        t = tuple(rng.randrange(letters) for _ in range(rng.randint(0, 5)))
+        return canonicalize_ray(p, t, rng.randint(-4, 4))
+
+    def test_matches_tail_scan(self):
+        rng = random.Random(401)
+        kinds = {}
+        differ = 0
+        for i in range(4000):
+            letters = rng.choice([2, 3])
+            ray = self._ray(rng, letters)
+            kind = i % 4
+            if kind == 0:  # independent pairs, periods often differ in length
+                forb = self._ray(rng, letters)
+            elif kind == 1:  # a true tail, re-anchored
+                m = ray.end_index - rng.randint(0, 8)
+                forb = ray_tail(ray, m).shift_to(rng.randint(-4, 4))
+            elif kind == 2:  # a true tail, one letter appended or altered
+                tail = ray_tail(ray, ray.end_index - rng.randint(0, 6))
+                t = tail.transient
+                if t and rng.random() < 0.5:
+                    t = t[:-1] + ((t[-1] + 1) % letters,)
+                else:
+                    t = t + (rng.randrange(letters),)
+                forb = canonicalize_ray(tail.period, t, 0)
+            else:  # the same period read twice with one letter changed
+                per = ray.period * 2
+                per = per[:-1] + ((per[-1] + 1) % letters,)
+                forb = canonicalize_ray(per, ray.transient, 0)
+            got = ray_equals_pattern_tail(ray, forb)
+            assert got == tail_scan(ray, forb), (ray, forb)
+            if kind == 1:
+                assert got
+            kinds.setdefault(kind, set()).add(got)
+            differ += len(ray.period) != len(forb.period)
+        assert kinds[0] == kinds[2] == {True, False}
+        assert differ > 1000
 
 
 class TestParsing:
