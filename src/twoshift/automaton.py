@@ -120,12 +120,13 @@ class StateGraph:
         """Is w a block: the label of a walk from bwd into fwd?"""
         return any(self.walk(s, w) in self.fwd for s in self.bwd)
 
-    def ray(self, period: tuple, transient: tuple) -> bool:
-        """Is ...period period transient a left-infinite subblock?"""
+    def ray(self, ray) -> bool:
+        """Is the left ray a left-infinite subblock?"""
+        period = ray.period
         if self.allow is not None and min(rotations(period)) not in self.allow:
             return False
         cycle = self._cycle(period)
-        return bool(cycle) and self.walk(cycle[0], transient) in self.fwd
+        return bool(cycle) and self.walk(cycle[0], ray.transient) in self.fwd
 
     def one_word(self, w: tuple) -> bool:
         """Is w a block of the one-sided space?  A one-sided point has no

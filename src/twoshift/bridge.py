@@ -6,8 +6,8 @@ level transfer of forbidden specifications in both directions.
 
 A one-sided Ott-Tomforde-Willis spec is a :class:`ForbiddenSpec` with only
 patterns (and perhaps a finite alphabet): the same data as a two-sided
-pattern spec, with the same matcher, state graph and fresh letter.  Only
-the language query differs, since a one-sided point has a left boundary.
+pattern spec, with the same matcher, language and fresh letter.  Only the
+language query differs, since a one-sided point has a left boundary.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .errors import NotMinimal
 from .points import (BiPoint, Empty, Finite, OneEmpty, OneFinite, OneInfinite,
                      OnePoint, ONE_EMPTY, make_infinite, make_one_infinite,
                      one_finite)
-from .spaces import (ForbiddenSpec, _block_levels, _fresh,
-                     _missing_subinstance, inf_infinite, is_minimal)
+from .spaces import (ForbiddenSpec, _block_levels, _missing_subinstance,
+                     _one_sided_ok, inf_infinite, is_minimal)
 from .words import ray_append
 
 
@@ -36,31 +36,16 @@ def one_contains(one: ForbiddenSpec, z: OnePoint) -> bool:
         if one.alphabet is not None and not (
                 set(z.transient) | set(z.period)) <= one.alphabet:
             return False
-        # Windows starting in [1, depth]; later ones repeat in the period.
-        big = one.max_pattern_len
-        depth = len(z.transient) + 2 * len(z.period) + big
-        return not one.matcher.occurs_in(
-            tuple(z[i] for i in range(1, depth + big)))
-    # A finite word needs infinitely many one-letter extensions.
-    if one.alphabet is not None:
-        return False
-    if not inf_infinite(one):
-        return False
-    f = _fresh(one, z.word)
-    probe = make_one_infinite(z.word + (f,), (f,))
-    return one_contains(one, probe)
+        return _one_sided_ok(one, z.transient, z.period)
+    # A finite word needs infinitely many one-letter extensions, so a fresh
+    # letter must follow it: the point w f f ... decides.
+    return one.alphabet is None and inf_infinite(one) and \
+        one.language.one_word(z.word)
 
 
 def one_word_in_language(one: ForbiddenSpec, w: tuple) -> bool:
     """Is w a block of the one-sided space (occurs in some valid point)?"""
-    if one.alphabet is not None:
-        return one.graph.one_word(tuple(w))
-    big = one.max_pattern_len
-    f = _fresh(one, w)
-    # Fresh padding is the best witness; only the distance of the word
-    # from the left boundary still matters.
-    return any(one_contains(one, make_one_infinite(
-        (f,) * j + w + (f,) * (big - 1), (f,))) for j in range(big))
+    return one.language.one_word(tuple(w))
 
 
 def one_blocks(one: ForbiddenSpec, n: int, cutoff: int) -> set:

@@ -213,7 +213,7 @@ def to_edge_shift(spec: ForbiddenSpec, cutoff: int):
         if word_in_language(spec, (f,) + v):
             sources.add(v)
     # The abstract fresh vertex must carry its own loop for fresh walks.
-    fresh = spec.alphabet is None and word_in_language(spec, (f,) * (m + 1))
+    fresh = word_in_language(spec, (f,) * (m + 1))
     return (Graph(m, tuple(vertices), tuple(edges), frozenset(emitters),
                   frozenset(sources), fresh),
             hb_spec(m + 1, spec))

@@ -15,14 +15,15 @@ length; a point is expanded once over every cell a pattern can see and
 handed to that matcher.
 
 Language questions (is this word a block, is the space infinite) are
-decided in one of two exact ways:
+answered by :attr:`ForbiddenSpec.language`, one per distinct spec value:
 
-* over a finite alphabet, on the spec's :class:`twoshift.automaton.StateGraph`,
-  built once and stored on the spec.  Forbidden tails are not on that graph
-  yet, so such specs raise :class:`twoshift.errors.FiniteAlphabetTails`;
-* over the infinite alphabet, by one witness point.  Letters outside the
-  mentioned set are interchangeable, so a witness uses one fresh letter
-  for everything unconstrained and is validated against the spec directly.
+* over a finite alphabet, the spec's :class:`twoshift.automaton.StateGraph`.
+  Forbidden tails are not on that graph yet, so such specs raise
+  :class:`twoshift.errors.FiniteAlphabetTails`;
+* over the infinite alphabet, a :class:`_Witnesses`: one witness point per
+  query.  Letters outside the mentioned set are interchangeable, so a
+  witness uses one fresh letter for everything unconstrained and is
+  validated against the spec directly.
 
 Both tests are exact, so the language is factor closed and blocks are
 enumerated factor closed: B_m(X) grows from B_{m-1}(X) one letter at a
@@ -55,6 +56,9 @@ from .words import (EMPTY, STAR, LeftRay, PatternSet, canonicalize_ray,
 
 def _least_rotation(word: tuple) -> tuple:
     return min(rotations(word))
+
+
+_LANGUAGES: dict = {}   # spec value -> its language, shared by equal specs
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,17 @@ class ForbiddenSpec:
         return any(all(c is STAR for c in p) for p in self.patterns)
 
     @cached_property
-    def graph(self) -> StateGraph:
-        """The state graph of a finite-alphabet spec without tails."""
-        if self.rays:
+    def language(self):
+        """The one object answering the language queries: the StateGraph
+        over a finite alphabet (tails refused), else the witness points."""
+        if self.alphabet is not None and self.rays:
             raise FiniteAlphabetTails(
                 "forbidden tails over a finite alphabet are not supported")
-        return StateGraph(self.patterns, self.alphabet, self.max_pattern_len,
-                          self.allow)
+        if self not in _LANGUAGES:
+            _LANGUAGES[self] = StateGraph(
+                self.patterns, self.alphabet, self.max_pattern_len,
+                self.allow) if self.alphabet is not None else _Witnesses(self)
+        return _LANGUAGES[self]
 
 
 def make_spec(forbid_words: Iterable = (), forbid_tails: Iterable = (),
@@ -196,6 +204,14 @@ def infinite_ok(spec: ForbiddenSpec, x: Infinite) -> bool:
     return True
 
 
+def _one_sided_ok(spec: ForbiddenSpec, transient: tuple,
+                  period: tuple) -> bool:
+    """Does the one-sided point transient period period ... avoid every
+    pattern?  Windows starting past the transient and one period repeat."""
+    cells = transient + period * (2 + spec.max_pattern_len // len(period))
+    return not spec.matcher.occurs_in(cells)
+
+
 # ---------------------------------------------------------------------------
 # witness search
 
@@ -206,42 +222,86 @@ def _fresh(spec: ForbiddenSpec, extra: Iterable[int] = ()) -> int:
     return max(used, default=-1) + 1
 
 
-def _left_periods(spec: ForbiddenSpec, f: int):
-    """Candidate left periods for witness points: every rotation of every
-    allowed period, or the fresh letter when tails are unconstrained."""
-    if spec.allow is None:
-        return [(f,)]
-    return [r for base in sorted(spec.allow) for r in rotations(base)]
+@dataclass(frozen=True)
+class _Witnesses:
+    """The language of an infinite-alphabet spec, with the method names of
+    :class:`twoshift.automaton.StateGraph`: each query builds witness points
+    padded with a fresh letter and validates them against the spec."""
+
+    spec: ForbiddenSpec
+
+    def left_periods(self, f: int):
+        """Candidate left periods for witness points: every rotation of every
+        allowed period, or the fresh letter when tails are unconstrained."""
+        if self.spec.allow is None:
+            return [(f,)]
+        return [r for base in sorted(self.spec.allow) for r in rotations(base)]
+
+    def word(self, word: tuple) -> bool:
+        spec = self.spec
+        # Cheap necessary condition: no pattern occurs inside the word itself.
+        if spec.matcher.occurs_in(word):
+            return False
+        # A fresh seam is the best possible witness: fresh cells are matched
+        # only by wildcards, which also matched whatever they replaced, so
+        # any valid witness stays valid after padding with the fresh letter.
+        f = _fresh(spec, word)
+        pad = (f,) * (spec.max_pattern_len - 1)
+        return any(infinite_ok(spec, make_infinite(
+            pl, pad + word + pad, (f,), 1)) for pl in self.left_periods(f))
+
+    def ray(self, ray: LeftRay, gap: int = 0) -> bool:
+        """Is the ray, then ``gap`` fresh letters, a left-infinite subblock?"""
+        spec = self.spec
+        f = _fresh(spec, ray.letters())
+        pad = (f,) * (spec.max_pattern_len - 1 + gap)
+        return infinite_ok(spec, make_infinite(
+            ray.period, ray.transient + pad, (f,),
+            ray.end_index - len(ray.transient) + 1))
+
+    def one_word(self, w: tuple) -> bool:
+        # Fresh padding is the best witness, and the point w f f ... has a
+        # subset of the windows of f...f w f f ..., so no offset from the
+        # left boundary can help.
+        return _one_sided_ok(self.spec, w, (_fresh(self.spec, w),))
+
+    def infinite(self) -> bool:
+        spec = self.spec
+        if spec.all_wildcard:
+            return False
+        if spec.allow is None:
+            # A fresh constant point is valid, and fresh letters are
+            # interchangeable, so the infinite part is infinite.
+            return True
+        # Allowed tails only: the space is infinite exactly when some valid
+        # point is not fully periodic (its shift orbit is then infinite),
+        # and replacing everything right of the periodic tail by a fresh
+        # letter preserves validity, so one witness per period rotation
+        # decides.
+        f = _fresh(spec)
+        return any(infinite_ok(spec, make_infinite(pl, (), (f,), 0))
+                   for pl in self.left_periods(f))
+
+    def nonempty(self) -> bool:
+        spec = self.spec
+        if spec.all_wildcard:
+            return False
+        if spec.allow is None or inf_infinite(spec):
+            return True
+        return any(infinite_ok(spec, make_infinite(p, (), p, 0))
+                   for pl in sorted(spec.allow) for p in rotations(pl))
 
 
 @lru_cache(maxsize=None)
 def word_in_language(spec: ForbiddenSpec, word: tuple) -> bool:
     """Is the (ø-free) word a block of the infinite part of X_F?"""
-    if spec.alphabet is not None:
-        return spec.graph.word(word)
-    # Cheap necessary condition: no pattern occurs inside the word itself.
-    if spec.matcher.occurs_in(word):
-        return False
-    big = spec.max_pattern_len
-    # A fresh seam is the best possible witness: fresh cells are matched
-    # only by wildcards, which also matched whatever they replaced, so any
-    # valid witness stays valid after padding with the fresh letter.
-    f = _fresh(spec, word)
-    pad = (f,) * (big - 1)
-    return any(infinite_ok(spec, make_infinite(pl, pad + word + pad, (f,), 1))
-               for pl in _left_periods(spec, f))
+    return spec.language.word(word)
 
 
 @lru_cache(maxsize=None)
 def ray_in_language(spec: ForbiddenSpec, ray: LeftRay) -> bool:
     """Is the ray a left-infinite subblock of the infinite part of X_F?"""
-    if spec.alphabet is not None:
-        return spec.graph.ray(ray.period, ray.transient)
-    f = _fresh(spec, ray.letters())
-    pad = (f,) * (spec.max_pattern_len - 1)
-    x = make_infinite(ray.period, ray.transient + pad, (f,),
-                      ray.end_index - len(ray.transient) + 1)
-    return infinite_ok(spec, x)
+    return spec.language.ray(ray)
 
 
 @lru_cache(maxsize=None)
@@ -251,51 +311,18 @@ def follower_infinite(spec: ForbiddenSpec, ray: LeftRay) -> bool:
     The mentioned set is finite, so the set is infinite exactly when some
     fresh letter follows the ray; fresh letters are interchangeable.
     """
-    if spec.alphabet is not None:
-        return False
-    big = spec.max_pattern_len
-    f = _fresh(spec, ray.letters())
-    pad = (f,) * big
-    x = make_infinite(ray.period, ray.transient + pad, (f,),
-                      ray.end_index - len(ray.transient) + 1)
-    return infinite_ok(spec, x)
+    return spec.alphabet is None and spec.language.ray(ray, 1)
 
 
 @lru_cache(maxsize=None)
 def inf_infinite(spec: ForbiddenSpec) -> bool:
     """Is the infinite part of X_F an infinite set?"""
-    if spec.alphabet is not None:
-        return spec.graph.infinite()
-    if spec.all_wildcard:
-        return False
-    if spec.allow is None:
-        # A fresh constant point is valid, and fresh letters are
-        # interchangeable, so the infinite part is infinite.
-        return True
-    # Allowed tails only: the space is infinite exactly when some valid
-    # point is not fully periodic (its shift orbit is then infinite), and
-    # replacing everything right of the periodic tail by a fresh letter
-    # preserves validity, so one witness per period rotation decides.
-    f = _fresh(spec)
-    return any(infinite_ok(spec, make_infinite(pl, (), (f,), 0))
-               for pl in _left_periods(spec, f))
+    return spec.language.infinite()
 
 
 @lru_cache(maxsize=None)
 def inf_nonempty(spec: ForbiddenSpec) -> bool:
-    if spec.alphabet is not None:
-        return spec.graph.nonempty()
-    if spec.all_wildcard:
-        return False
-    if spec.allow is None:
-        return True
-    if inf_infinite(spec):
-        return True
-    for pl in sorted(spec.allow):
-        for p in rotations(pl):
-            if infinite_ok(spec, make_infinite(p, (), p, 0)):
-                return True
-    return False
+    return spec.language.nonempty()
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +348,10 @@ def _finite_word_ok(spec: ForbiddenSpec, word: tuple) -> bool:
     """Does some finite point of X_F end exactly with this (ø-free) word?"""
     if spec.alphabet is not None or not inf_infinite(spec):
         return False
-    big = spec.max_pattern_len
     f = _fresh(spec, word)
-    pad = (f,) * (big - 1)
+    pad = (f,) * (spec.max_pattern_len - 1)
     return any(follower_infinite(spec, canonicalize_ray(pl, pad + word, 0))
-               for pl in _left_periods(spec, f))
+               for pl in spec.language.left_periods(f))
 
 
 def _block_levels(member, n: int, letters: Iterable[int]) -> list:
@@ -348,10 +374,10 @@ def _block_levels(member, n: int, letters: Iterable[int]) -> list:
 
 def blocks(spec: ForbiddenSpec, n: int, cutoff: int) -> set:
     """B_n(X_F) restricted to letters below the cutoff (plus ø paddings)."""
-    mentioned = spec.mentioned
-    if mentioned and cutoff < max(mentioned) + 1:
-        raise CutoffTooSmall("cutoff %d below mentioned letters %s"
-                             % (cutoff, sorted(mentioned)))
+    least = max(spec.mentioned, default=-1) + 1
+    if cutoff < least:
+        raise CutoffTooSmall("cutoff %d below %d (mentioned letters %s)"
+                             % (cutoff, least, sorted(spec.mentioned)))
     levels = _block_levels(lambda w: word_in_language(spec, w), n,
                            range(cutoff))
     out = set(levels[n])
@@ -371,9 +397,8 @@ def follower_set(spec: ForbiddenSpec, left, k: int = 1,
     Returns (set of words over letters < cutoff, infinite flag); the flag is
     exact, the listing is truncated at the cutoff.
     """
-    big = spec.max_pattern_len
     f = _fresh(spec, left.letters() if isinstance(left, LeftRay) else left)
-    probe = sorted(spec.mentioned) + ([] if spec.alphabet is not None else [f])
+    probe = sorted(spec.mentioned) + [f]
     if isinstance(left, LeftRay):
         if direction != "forward":
             raise ValueError("predecessor sets apply to finite words only")
@@ -390,8 +415,7 @@ def follower_set(spec: ForbiddenSpec, left, k: int = 1,
             member = lambda v: word_in_language(spec, v + w)
     listed = {v for v in itertools.product(range(cutoff), repeat=k) if member(v)}
     infinite = any(f in v and member(v)
-                   for v in itertools.product(probe, repeat=k)) \
-        if spec.alphabet is None else False
+                   for v in itertools.product(probe, repeat=k))
     return listed, infinite
 
 
@@ -423,10 +447,9 @@ def _missing_subinstance(spec: ForbiddenSpec, member):
 
 def _pattern_bad(spec: ForbiddenSpec, pattern: tuple) -> bool:
     """True iff no instance of the pattern is a block of X_F."""
-    mentioned = spec.mentioned
     f = _fresh(spec, (c for c in pattern if isinstance(c, int)))
     return all(not word_in_language(spec, tuple(inst))
-               for inst in _instances(pattern, mentioned, f))
+               for inst in _instances(pattern, spec.mentioned, f))
 
 
 def _pattern_occurs_in(small: tuple, big_pat: tuple) -> bool:
@@ -471,7 +494,6 @@ def minimalize(spec: ForbiddenSpec) -> ForbiddenSpec:
     if spec.allow is not None:
         raise AllowlistUnsupported("minimalize needs a pure forbidden list")
     mentioned = sorted(spec.mentioned)
-    big = spec.max_pattern_len
     candidates = set()
     for pat in spec.patterns:
         for n in range(1, len(pat) + 1):
@@ -482,24 +504,15 @@ def minimalize(spec: ForbiddenSpec) -> ForbiddenSpec:
                            for c in sub]
                 for cand in itertools.product(*options):
                     candidates.add(tuple(cand))
-    bound = big + max((len(r.period) + len(r.transient) for r in spec.rays),
-                      default=0)
-    for r in spec.rays:
-        for w in _ray_windows(r, bound):
-            candidates.add(w)
+    bound = spec.max_pattern_len + max(
+        (len(r.period) + len(r.transient) for r in spec.rays), default=0)
+    candidates.update(w for r in spec.rays for w in _ray_windows(r, bound))
     bad = {c for c in candidates if _pattern_bad(spec, c)}
-    minimal = set()
-    for c in sorted(bad, key=lambda c: (len(c), str(c))):
-        if not any(d != c and _pattern_occurs_in(d, c) for d in bad):
-            minimal.add(c)
-    kept_rays = set()
-    for r in spec.rays:
-        covered = any(not ray_subword_occurrences(r, g).is_empty
-                      for g in minimal)
-        if not covered:
-            kept_rays.add(r)
-    return ForbiddenSpec(frozenset(minimal), frozenset(kept_rays), None,
-                         spec.alphabet)
+    minimal = frozenset(c for c in bad if not any(
+        d != c and _pattern_occurs_in(d, c) for d in bad))
+    kept_rays = frozenset(r for r in spec.rays if all(
+        ray_subword_occurrences(r, g).is_empty for g in minimal))
+    return ForbiddenSpec(minimal, kept_rays, None, spec.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +528,15 @@ class Classification:
 
 
 def classify(spec: ForbiddenSpec) -> Classification:
-    if spec.alphabet is not None:
-        row = col = True
-    else:
+    row = col = True
+    if spec.alphabet is None:
+        # Row (column) finite: no letter is followed (preceded) by a fresh
+        # one, which stands for infinitely many.
         f = _fresh(spec)
-        probes = sorted(spec.mentioned) + [f]
-        row = col = True
-        for a in probes:
-            if not word_in_language(spec, (a,)):
-                continue
-            _, flag = follower_set(spec, (a,), 1, "forward", cutoff=1)
-            row = row and not flag
-            _, flag = follower_set(spec, (a,), 1, "backward", cutoff=1)
-            col = col and not flag
+        for a in sorted(spec.mentioned) + [f]:
+            if word_in_language(spec, (a,)):
+                row = row and not word_in_language(spec, (a, f))
+                col = col and not word_in_language(spec, (f, a))
     if spec.rays or spec.allow is not None:
         m_step = None
     else:
@@ -564,12 +573,15 @@ def equal_spaces(a: ForbiddenSpec, b: ForbiddenSpec, n_budget: int,
     ``n_budget``, over letters below ``cutoff``; (True, None) then means
     that no difference was found within the budget.
     """
+    if n_budget < 0:
+        raise ValueError("budget %d is negative" % n_budget)
     if a.allow is not None or b.allow is not None:
         return _equal_up_to_budget(a, b, n_budget, cutoff)
     if any(s.alphabet is not None and s.rays for s in (a, b)):
         raise FiniteAlphabetTails(
             "forbidden tails over a finite alphabet are not supported")
-    # A spec without tails is its own base, so its cached graph is reused.
+    # A spec without tails is its own base object: an lru_cache hit tests
+    # identity first, where a copy would pay the dataclass __eq__ each hit.
     base_a, base_b = (replace(s, rays=frozenset()) if s.rays else s
                       for s in (a, b))
     if base_a != base_b:

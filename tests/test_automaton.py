@@ -184,7 +184,7 @@ class TestGraphSize:
                               (["1****2", "3***4*", "5**6", "7*8"], 9, 660),
                               (["01234567"], 8, 8)):
             spec = make_spec(forbid_words=pats, alphabet=range(k))
-            assert len(spec.graph.succ) <= most, (pats, k)
+            assert len(spec.language.succ) <= most, (pats, k)
 
 
 class TestAllowlists:

@@ -7,15 +7,22 @@ from twoshift.bridge import (OneSpec, embed_in_cylinder, embed_inverse,
                              one_is_minimal, one_word_in_language, p_inverse,
                              project, project_space)
 from twoshift.errors import NotMinimal
-from twoshift.points import (EMPTY_POINT, Finite, ONE_EMPTY, format_one_point,
-                             parse_one_point, parse_point)
+from twoshift.points import (EMPTY_POINT, Finite, ONE_EMPTY, OneFinite,
+                             format_one_point, parse_one_point, parse_point)
 from twoshift.spaces import blocks, contains, make_spec, word_in_language
 from twoshift.spaces import inf_infinite as one_inf_infinite
-from twoshift.words import EMPTY, STAR
+from twoshift.words import EMPTY, STAR, pattern_matches
 
 from conftest import random_finite, random_pattern, random_point
 
 GM = make_spec(forbid_words=["11"])
+
+
+def naive_one_sided_ok(one, cells) -> bool:
+    """Does no pattern match any window of the cells?"""
+    return not any(pattern_matches(p, cells[i: i + len(p)])
+                   for p in one.patterns
+                   for i in range(len(cells) - len(p) + 1))
 
 
 class TestProjection:
@@ -106,6 +113,25 @@ class TestOneSidedSpaces:
                                         frozenset({0, 1, 2})))
         assert not one_inf_infinite(OneSpec(frozenset({(1,), (2,)}),
                                             frozenset({0, 1, 2})))
+
+    def test_one_word_matches_every_offset_from_the_boundary(self):
+        # Oracle: a word is a one-sided block iff some point
+        # f^j w f f ... avoids every pattern, j < the longest pattern
+        # length, each point scanned cell by cell.
+        rng = random.Random(33)
+        for _ in range(120):
+            one = OneSpec(frozenset(random_pattern(rng, 4, 3, 0.4)
+                                    for _ in range(rng.randint(1, 3))))
+            big = one.max_pattern_len
+            for _ in range(8):
+                w = tuple(rng.randrange(4) for _ in range(rng.randint(1, 4)))
+                f = max(one.mentioned | set(w), default=-1) + 1
+                want = any(naive_one_sided_ok(
+                    one, (f,) * j + w + (f,) * (big + 1))
+                    for j in range(big))
+                assert one_word_in_language(one, w) == want, (one, w)
+                assert one_contains(one, OneFinite(w)) == \
+                    (want and one_inf_infinite(one)), (one, w)
 
     def test_pruned_enumeration_matches_every_word(self):
         rng = random.Random(31)

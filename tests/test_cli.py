@@ -196,6 +196,25 @@ class TestErrorHandling:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_negative_cutoff_is_a_one_line_error(self, capsys, tmp_path):
+        free = tmp_path / "free.json"
+        free.write_text('{"forbid_words": []}')
+        code, out, err = run(capsys, "space-blocks", str(free), "-n", "2",
+                             "--cutoff", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_negative_budget_is_a_one_line_error(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text('{"forbid_words": ["1*"], "allow_tails": ["0"]}')
+        b.write_text('{"forbid_words": ["1*"], "allow_tails": ["2"]}')
+        code, out, _ = run(capsys, "space-equal", str(a), str(b))
+        assert code == 1 and out == "differ: (0)^- @0\n"
+        code, out, err = run(capsys, "space-equal", str(a), str(b),
+                             "--n-budget", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_tail_too_large_for_memory_is_a_one_line_error(self):
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))

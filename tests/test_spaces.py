@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from twoshift import spaces
+from twoshift.automaton import StateGraph
 from twoshift.errors import (AllowlistUnsupported, CutoffTooSmall,
                              NotInLanguage)
 from twoshift.points import (EMPTY_POINT, constant_point, finite_point,
@@ -134,6 +136,12 @@ class TestBlocks:
     def test_cutoff_guard(self):
         with pytest.raises(CutoffTooSmall):
             blocks(GM, 2, 0)
+
+    def test_negative_cutoff_rejected_without_mentioned_letters(self):
+        for spec in (make_spec(), make_spec(forbid_words=["**"])):
+            assert blocks(spec, 2, 0) in ({(EMPTY, EMPTY)}, set())
+            with pytest.raises(CutoffTooSmall):
+                blocks(spec, 2, -1)
 
     def test_negative_length_rejected(self):
         for spec in (GM, make_spec(forbid_words=["11"], alphabet=[0, 1])):
@@ -277,6 +285,29 @@ class TestClassification:
         c = classify(make_spec(forbid_words=["11"], alphabet=[0, 1]))
         assert c.row_finite and c.column_finite
 
+    def test_flags_match_follower_sets(self):
+        # Oracle: the infinite flags of the one-letter follower and
+        # predecessor sets of every letter class that is a block.
+        rng = random.Random(262)
+        for _ in range(150):
+            pats = [random_pattern(rng, 3, 3, 0.3)
+                    for _ in range(rng.randint(0, 3))]
+            rays = [random_ray(rng, 3).shift_to(0)
+                    for _ in range(rng.randint(0, 2))]
+            allow = None if rng.random() < 0.5 else \
+                [random_word(rng, rng.randint(1, 2), 3)
+                 for _ in range(rng.randint(1, 2))]
+            spec = make_spec(pats, rays, allow_tails=allow)
+            letters = sorted(spec.mentioned) + [max(spec.mentioned,
+                                                    default=-1) + 1]
+            flags = {d: any(follower_set(spec, (a,), 1, d, cutoff=1)[1]
+                            for a in letters
+                            if word_in_language(spec, (a,)))
+                     for d in ("forward", "backward")}
+            c = classify(spec)
+            assert (c.row_finite, c.column_finite) == \
+                (not flags["forward"], not flags["backward"]), spec
+
 
 class TestComparison:
     def test_redundant_member_ignored(self):
@@ -293,6 +324,13 @@ class TestComparison:
         assert not eq
         assert ray_in_language(make_spec(), witness)
         assert not ray_in_language(make_spec(allow_tails=["1"]), witness)
+
+    def test_negative_budget_rejected(self):
+        a = make_spec(forbid_words=["1*"], allow_tails=["0"])
+        b = make_spec(forbid_words=["1*"], allow_tails=["2"])
+        for x, y in ((a, b), (GM, GM)):
+            with pytest.raises(ValueError):
+                equal_spaces(x, y, -1, 4)
 
     def test_difference_beyond_the_budget(self):
         assert equal_spaces(make_spec(), make_spec(forbid_words=["0123"]),
@@ -381,6 +419,36 @@ def random_equality_pair(rng: random.Random, kind: str):
     tails = [rng.sample(pool, rng.randint(0, 2)) for _ in range(2)]
     return (make_spec(forbid_words=pats, forbid_tails=tails[0]),
             make_spec(forbid_words=other, forbid_tails=tails[1]))
+
+
+class TestLanguage:
+    def test_equal_specs_built_apart_share_one_language(self):
+        for alphabet in (None, range(3)):
+            a, b = (make_spec(forbid_words=["1*0", "22"], alphabet=alphabet)
+                    for _ in range(2))
+            assert a is not b and a.language is b.language
+
+    def test_one_graph_per_distinct_spec(self, monkeypatch):
+        built = []
+        init = StateGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[:2])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(spaces, "_LANGUAGES", {})
+        monkeypatch.setattr(StateGraph, "__init__", counting)
+        distinct = (["11"], ["1*0", "22"], ["012"])
+        # Each round builds its specs afresh, as a decision loop does.
+        for rnd in range(6):
+            for pats in distinct:
+                spec = make_spec(forbid_words=pats, alphabet=range(3))
+                w = (rnd % 3, (rnd + 1) % 3)
+                assert spec.language.word(w) == word_in_language(spec, w)
+                equal_spaces(spec, make_spec(forbid_words=pats,
+                                             alphabet=range(3)), 3, 3)
+                inf_infinite(spec)
+        assert len(built) == len(distinct)
 
 
 class TestSerialization:
