@@ -18,8 +18,9 @@ from .errors import NotMinimal
 from .points import (BiPoint, Empty, Finite, OneEmpty, OneFinite, OneInfinite,
                      OnePoint, ONE_EMPTY, make_infinite, make_one_infinite,
                      one_finite)
-from .spaces import (ForbiddenSpec, _block_levels, _missing_subinstance,
-                     _one_sided_ok, inf_infinite, is_minimal)
+from .spaces import (ForbiddenSpec, _block_levels, _check_cutoff,
+                     _missing_subinstance, _one_sided_ok, inf_infinite,
+                     is_minimal)
 from .words import ray_append
 
 
@@ -50,6 +51,7 @@ def one_word_in_language(one: ForbiddenSpec, w: tuple) -> bool:
 
 def one_blocks(one: ForbiddenSpec, n: int, cutoff: int) -> set:
     """Non-ø blocks of X̂_F over letters below the cutoff."""
+    _check_cutoff(cutoff, one.mentioned)
     return _block_levels(lambda w: one_word_in_language(one, w), n,
                          range(cutoff))[n]
 

@@ -8,14 +8,13 @@ restriction.  The space X_F consists of the infinite points avoiding F
 whose ending ray has an infinite first follower set inside the infinite
 part, and the empty point when the infinite part is infinite.
 
-Membership of a point is checked on the point itself.  Each spec compiles
-its patterns once into one matcher (:func:`twoshift.words.compile_patterns`),
-stored on the spec next to its mentioned letters and longest pattern
-length; a point is expanded once over every cell a pattern can see and
-handed to that matcher.
+Equal specs are one object (``==`` is ``is``), which holds its matcher
+(:func:`twoshift.words.compile_patterns`), mentioned letters, longest
+pattern length and language, each built once.  A point is expanded once
+over every cell a pattern can see and handed to that matcher.
 
 Language questions (is this word a block, is the space infinite) are
-answered by :attr:`ForbiddenSpec.language`, one per distinct spec value:
+answered by :attr:`ForbiddenSpec.language`:
 
 * over a finite alphabet, the spec's :class:`twoshift.automaton.StateGraph`.
   Forbidden tails are not on that graph yet, so such specs raise
@@ -58,17 +57,22 @@ def _least_rotation(word: tuple) -> tuple:
     return min(rotations(word))
 
 
-_LANGUAGES: dict = {}   # spec value -> its language, shared by equal specs
+_SPECS: dict = {}   # (patterns, rays, allow, alphabet) -> its one spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForbiddenSpec:
-    """Finite description of a forbidden set; construct via :func:`make_spec`."""
+    """A finite forbidden set, one object per value; see :func:`make_spec`."""
 
     patterns: frozenset = frozenset()
     rays: frozenset = frozenset()          # LeftRay, end index 0
     allow: Optional[frozenset] = None      # canonical primitive period words
     alphabet: Optional[frozenset] = None
+
+    def __new__(cls, patterns=frozenset(), rays=frozenset(), allow=None,
+                alphabet=None):
+        key = (patterns, rays, allow, alphabet)
+        return _SPECS.get(key) or _SPECS.setdefault(key, super().__new__(cls))
 
     @cached_property
     def mentioned(self) -> frozenset:
@@ -100,14 +104,13 @@ class ForbiddenSpec:
     def language(self):
         """The one object answering the language queries: the StateGraph
         over a finite alphabet (tails refused), else the witness points."""
-        if self.alphabet is not None and self.rays:
+        if self.alphabet is None:
+            return _Witnesses(self)
+        if self.rays:
             raise FiniteAlphabetTails(
                 "forbidden tails over a finite alphabet are not supported")
-        if self not in _LANGUAGES:
-            _LANGUAGES[self] = StateGraph(
-                self.patterns, self.alphabet, self.max_pattern_len,
-                self.allow) if self.alphabet is not None else _Witnesses(self)
-        return _LANGUAGES[self]
+        return StateGraph(self.patterns, self.alphabet, self.max_pattern_len,
+                          self.allow)
 
 
 def make_spec(forbid_words: Iterable = (), forbid_tails: Iterable = (),
@@ -372,12 +375,17 @@ def _block_levels(member, n: int, letters: Iterable[int]) -> list:
     return levels
 
 
-def blocks(spec: ForbiddenSpec, n: int, cutoff: int) -> set:
-    """B_n(X_F) restricted to letters below the cutoff (plus ø paddings)."""
-    least = max(spec.mentioned, default=-1) + 1
+def _check_cutoff(cutoff: int, mentioned: frozenset = frozenset()) -> None:
+    """Refuse a listing cutoff below a mentioned letter, or a negative one."""
+    least = max(mentioned, default=-1) + 1
     if cutoff < least:
         raise CutoffTooSmall("cutoff %d below %d (mentioned letters %s)"
-                             % (cutoff, least, sorted(spec.mentioned)))
+                             % (cutoff, least, sorted(mentioned)))
+
+
+def blocks(spec: ForbiddenSpec, n: int, cutoff: int) -> set:
+    """B_n(X_F) restricted to letters below the cutoff (plus ø paddings)."""
+    _check_cutoff(cutoff, spec.mentioned)
     levels = _block_levels(lambda w: word_in_language(spec, w), n,
                            range(cutoff))
     out = set(levels[n])
@@ -397,6 +405,7 @@ def follower_set(spec: ForbiddenSpec, left, k: int = 1,
     Returns (set of words over letters < cutoff, infinite flag); the flag is
     exact, the listing is truncated at the cutoff.
     """
+    _check_cutoff(cutoff)
     f = _fresh(spec, left.letters() if isinstance(left, LeftRay) else left)
     probe = sorted(spec.mentioned) + [f]
     if isinstance(left, LeftRay):
@@ -580,10 +589,7 @@ def equal_spaces(a: ForbiddenSpec, b: ForbiddenSpec, n_budget: int,
     if any(s.alphabet is not None and s.rays for s in (a, b)):
         raise FiniteAlphabetTails(
             "forbidden tails over a finite alphabet are not supported")
-    # A spec without tails is its own base object: an lru_cache hit tests
-    # identity first, where a copy would pay the dataclass __eq__ each hit.
-    base_a, base_b = (replace(s, rays=frozenset()) if s.rays else s
-                      for s in (a, b))
+    base_a, base_b = (replace(s, rays=frozenset()) for s in (a, b))
     if base_a != base_b:
         letters = set(a.mentioned | b.mentioned)
         for s in (a, b):

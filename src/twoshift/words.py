@@ -34,6 +34,11 @@ class _Sentinel:
     def __repr__(self) -> str:
         return self._name
 
+    def __hash__(self) -> int:
+        # Fixed by the name, not the address, so sets of patterns iterate in
+        # one order from run to run; letters are nonnegative, so none clash.
+        return -ord(self._name)
+
 
 #: The empty letter (the padding symbol at the right end of finite points).
 EMPTY = _Sentinel("_")

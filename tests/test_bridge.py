@@ -6,7 +6,7 @@ from twoshift.bridge import (OneSpec, embed_in_cylinder, embed_inverse,
                              lift_space, one_blocks, one_contains,
                              one_is_minimal, one_word_in_language, p_inverse,
                              project, project_space)
-from twoshift.errors import NotMinimal
+from twoshift.errors import CutoffTooSmall, NotMinimal
 from twoshift.points import (EMPTY_POINT, Finite, ONE_EMPTY, OneFinite,
                              format_one_point, parse_one_point, parse_point)
 from twoshift.spaces import blocks, contains, make_spec, word_in_language
@@ -145,8 +145,28 @@ class TestOneSidedSpaces:
         with pytest.raises(ValueError):
             one_blocks(OneSpec(), -1, 2)
 
+    def test_cutoff_guard_is_the_two_sided_one(self):
+        for one, n, cutoff in ((OneSpec(), 2, -1),
+                               (OneSpec(frozenset({(3,)})), 1, 2)):
+            for listing in (one_blocks, blocks):
+                with pytest.raises(CutoffTooSmall):
+                    listing(one, n, cutoff)
+        assert one_blocks(OneSpec(frozenset({(3,)})), 1, 4) == \
+            {(0,), (1,), (2,)}
+
 
 class TestSpaceTransfer:
+    def test_transfers_return_the_one_spec_object(self):
+        for alphabet in (None, frozenset(range(3))):
+            spec = make_spec(forbid_words=["11", "022"], alphabet=alphabet)
+            one = OneSpec(spec.patterns, alphabet)
+            assert one is spec and OneSpec(set(spec.patterns), alphabet) is one
+            assert project_space(spec).one is one
+            assert lift_space(one).two is spec
+        tails = make_spec(forbid_words=["11"], forbid_tails=["(0)^-"])
+        assert project_space(tails).one is GM
+
+
     def test_projection_drops_tail_constraints(self):
         spec = make_spec(allow_tails=["1"])
         proj = project_space(spec)

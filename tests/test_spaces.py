@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from twoshift import spaces
@@ -8,7 +9,8 @@ from twoshift.errors import (AllowlistUnsupported, CutoffTooSmall,
                              NotInLanguage)
 from twoshift.points import (EMPTY_POINT, constant_point, finite_point,
                              make_infinite, parse_point)
-from twoshift.spaces import (_finite_word_ok, _ray_windows, blocks, classify,
+from twoshift.spaces import (ForbiddenSpec, _finite_word_ok, _ray_windows,
+                             blocks, classify,
                              contains, equal_spaces, follower_set, has_iep,
                              inf_infinite, inf_nonempty, is_minimal,
                              make_spec, minimalize, ray_in_language,
@@ -195,6 +197,11 @@ class TestFollowers:
         listed, infinite = follower_set(GM, (1,), 1, "backward", cutoff=4)
         assert listed == {(0,), (2,), (3,)}
         assert infinite
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(CutoffTooSmall):
+            follower_set(make_spec(), (), 1, cutoff=-1)
+        assert follower_set(make_spec(), (), 1, cutoff=0) == (set(), True)
 
     def test_ray_outside_language(self):
         spec = make_spec(allow_tails=["1"])
@@ -426,7 +433,7 @@ class TestLanguage:
         for alphabet in (None, range(3)):
             a, b = (make_spec(forbid_words=["1*0", "22"], alphabet=alphabet)
                     for _ in range(2))
-            assert a is not b and a.language is b.language
+            assert a is b and a.language is b.language
 
     def test_one_graph_per_distinct_spec(self, monkeypatch):
         built = []
@@ -436,7 +443,7 @@ class TestLanguage:
             built.append(args[:2])
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(spaces, "_LANGUAGES", {})
+        monkeypatch.setattr(spaces, "_SPECS", {})
         monkeypatch.setattr(StateGraph, "__init__", counting)
         distinct = (["11"], ["1*0", "22"], ["012"])
         # Each round builds its specs afresh, as a decision loop does.
@@ -449,6 +456,75 @@ class TestLanguage:
                                              alphabet=range(3)), 3, 3)
                 inf_infinite(spec)
         assert len(built) == len(distinct)
+
+
+class TestInterning:
+    def test_every_route_gives_the_one_object(self):
+        for alphabet in (None, range(3)):
+            spec = make_spec(forbid_words=["11", "2*0"], alphabet=alphabet)
+            routes = (
+                ForbiddenSpec(spec.patterns, spec.rays, spec.allow,
+                              spec.alphabet),
+                ForbiddenSpec(frozenset(spec.patterns),
+                              alphabet=spec.alphabet),
+                make_spec(forbid_words=["2*0", "11", "11"],
+                          alphabet=alphabet),
+                spec_from_json(spec_to_json(spec)),
+                replace(spec),
+                replace(make_spec(forbid_words=["11", "2*0"],
+                                  forbid_tails=["(1)^-"]),
+                        rays=frozenset(), alphabet=spec.alphabet))
+            assert all(s is spec for s in routes), routes
+        assert minimalize(make_spec(forbid_words=["11", "1"])) is \
+            make_spec(forbid_words=["1"])
+
+    def test_unequal_values_stay_apart(self):
+        plain = make_spec(forbid_words=["11"])
+        for other in (make_spec(forbid_words=["11"], alphabet=()),
+                      make_spec(forbid_words=["11"], allow_tails=())):
+            assert frozenset() in (other.alphabet, other.allow)
+            assert other is not plain and other != plain
+
+    def test_equality_is_identity(self):
+        rng = random.Random(41)
+        specs = []
+        for _ in range(60):
+            pats = [random_pattern(rng, 2, 2, 0.3)
+                    for _ in range(rng.randint(0, 2))]
+            alphabet = None if rng.random() < 0.5 else range(3)
+            specs.append(make_spec(forbid_words=pats, alphabet=alphabet))
+        for a in specs:
+            for b in specs:
+                same = (a.patterns, a.rays, a.allow, a.alphabet) == \
+                    (b.patterns, b.rays, b.allow, b.alphabet)
+                assert (a == b) == (a is b) == same, (a, b)
+                assert (hash(a) == hash(b)) == same, (a, b)
+
+    def test_one_build_per_value_across_routes(self, monkeypatch):
+        graphs, matchers = [], []
+        init, compile_patterns = StateGraph.__init__, spaces.compile_patterns
+
+        def counting_init(self, *args, **kwargs):
+            graphs.append(args[:2])
+            init(self, *args, **kwargs)
+
+        def counting_compile(patterns):
+            matchers.append(patterns)
+            return compile_patterns(patterns)
+
+        monkeypatch.setattr(spaces, "_SPECS", {})
+        monkeypatch.setattr(StateGraph, "__init__", counting_init)
+        monkeypatch.setattr(spaces, "compile_patterns", counting_compile)
+        values = (["11"], ["1*0", "22"], ["012"])
+        for pats in values:
+            spec = make_spec(forbid_words=pats, alphabet=range(3))
+            for s in (spec, spec_from_json(spec_to_json(spec)),
+                      replace(spec, rays=frozenset()),
+                      ForbiddenSpec(spec.patterns, alphabet=spec.alphabet)):
+                assert s.language.word((0, 1)) == word_in_language(s, (0, 1))
+                assert contains(s, parse_point("(0)^- . (0)^+")) != \
+                    s.matcher.occurs_in((0,) * 3)
+        assert len(graphs) == len(matchers) == len(values)
 
 
 class TestSerialization:

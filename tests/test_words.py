@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,6 +21,7 @@ small_ints = st.integers(-5, 5)
 # Letters up to 1000, with single digits as likely as wide letters.
 wide_letters = st.one_of(st.integers(0, 9), st.integers(10, 1000))
 wide_words = st.lists(wide_letters, min_size=1, max_size=4).map(tuple)
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def expand(ray: LeftRay, lo: int) -> list:
@@ -292,3 +296,20 @@ class TestPatternMatching:
         stars = compile_patterns([(STAR, STAR)])
         assert not stars.occurs_in((1, EMPTY, EMPTY))
         assert stars.occurs_in((1, 1, EMPTY))
+
+
+class TestSentinels:
+    def test_hashes_and_set_order_repeat_across_interpreters(self):
+        script = ("from twoshift.words import ANY, EMPTY, STAR\n"
+                  "print([hash(s) for s in (STAR, EMPTY, ANY)],\n"
+                  "      list({(STAR, 1), (1, STAR), (STAR, STAR, 1), (EMPTY,)}))")
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="0")
+        outs = [subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True,
+                               check=True).stdout for _ in range(2)]
+        assert outs[0] == outs[1], outs
+
+    def test_sentinels_equal_only_themselves(self):
+        cells = [STAR, EMPTY, ANY] + list(range(200))
+        assert len(set(cells)) == len(cells)
+        assert STAR == STAR and STAR != EMPTY and EMPTY != 0
